@@ -253,13 +253,13 @@ EstimateResponse run(const EstimateRequest& request, const service::EngineOption
       json::Array results;
       {
         trace::PhaseTimer phase(timings, "api.execute");
-        // Sweep grids go through the SoA batch kernel when its plan covers
-        // them (see service/batch_kernel.hpp); everything else — items
-        // batches, kernel-ineligible sweeps, --no-batch-kernel — runs the
-        // legacy per-item path. Both funnel into run_batch_indexed, so the
-        // result array and batch counters are identical either way.
+        // Sweep grids go through the batch kernel when its plan covers them
+        // (see service/batch_kernel.hpp); everything else — items batches
+        // and kernel-ineligible sweeps — runs the legacy per-item path. Both
+        // funnel into run_batch_indexed, so the result array and batch
+        // counters are identical either way.
         bool ran_kernel = false;
-        if (sweep != nullptr && run_options.use_batch_kernel) {
+        if (sweep != nullptr) {
           service::BatchKernelPlan plan =
               service::plan_batch_kernel(doc, expanded, registry);
           if (plan.eligible()) {

@@ -1,5 +1,7 @@
 #include "core/job.hpp"
 
+#include <utility>
+
 #include "api/api.hpp"
 #include "common/error.hpp"
 
@@ -28,7 +30,7 @@ json::Value run_job(const json::Value& job, const service::EngineOptions& option
   // A valid request that still failed (infeasible single estimate) surfaces
   // as runtime diagnostics; rethrow them with their plain messages.
   if (!response.success) throw Error(response.diagnostics.summary());
-  return response.result;
+  return std::move(response.result);  // a member is not moved implicitly
 }
 
 json::Value run_job_file(const std::string& path) { return run_job(json::parse_file(path)); }

@@ -1,8 +1,10 @@
 #include "json/json.hpp"
 
 #include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -399,16 +401,25 @@ class Parser {
     if (token.empty() || token == "-") fail("invalid number");
     if (is_integer) {
       try {
-        return Value(static_cast<std::int64_t>(std::stoll(token)));
+        const long long i = std::stoll(token);
+        // "-0" stays a double: an integer zero would drop the sign that
+        // dump() wrote for negative zero.
+        if (i != 0 || token[0] != '-') return Value(static_cast<std::int64_t>(i));
       } catch (const std::exception&) {
         // Falls through to double for out-of-range integers.
       }
     }
-    try {
-      return Value(std::stod(token));
-    } catch (const std::exception&) {
+    // strtod rather than stod: strtod flags ERANGE for every subnormal result
+    // and stod turns that into an exception, so subnormals written by dump()
+    // would not parse back. Only a magnitude beyond double range (overflow to
+    // infinity, underflow to zero) is an error.
+    errno = 0;
+    char* end = nullptr;
+    const double d = std::strtod(token.c_str(), &end);
+    if (end == token.c_str() || (errno == ERANGE && (d == 0.0 || std::isinf(d)))) {
       fail("invalid number '" + token + "'");
     }
+    return Value(d);
   }
 
   std::string_view text_;

@@ -61,42 +61,20 @@ void BatchKernelPlan::apply(const std::vector<std::uint32_t>& picks,
                             EstimationInput& input) const {
   for (std::size_t j = 0; j < axes_.size(); ++j) {
     const BatchKernelAxis& a = axes_[j];
-    const std::size_t k = picks[j];
+    const EstimationInput& value = a.values[picks[j]];
     switch (a.section) {
       case BatchKernelAxis::Section::kLogicalCounts:
-        input.counts.num_qubits = a.lc_num_qubits[k];
-        input.counts.t_count = a.lc_t_count[k];
-        input.counts.rotation_count = a.lc_rotation_count[k];
-        input.counts.rotation_depth = a.lc_rotation_depth[k];
-        input.counts.ccz_count = a.lc_ccz_count[k];
-        input.counts.ccix_count = a.lc_ccix_count[k];
-        input.counts.measurement_count = a.lc_measurement_count[k];
-        input.counts.clifford_count = a.lc_clifford_count[k];
+        input.counts = value.counts;
         break;
       case BatchKernelAxis::Section::kErrorBudget:
-        input.budget = a.budgets[k];
+        input.budget = value.budget;
         break;
       case BatchKernelAxis::Section::kConstraints:
-        input.constraints = a.constraints[k];
+        input.constraints = value.constraints;
         break;
       case BatchKernelAxis::Section::kQubitParams:
-        input.qubit.name = a.qp_names[k];
-        input.qubit.instruction_set = static_cast<InstructionSet>(a.qp_instruction_set[k]);
-        input.qubit.one_qubit_measurement_time_ns = a.qp_one_qubit_measurement_time_ns[k];
-        input.qubit.one_qubit_gate_time_ns = a.qp_one_qubit_gate_time_ns[k];
-        input.qubit.two_qubit_gate_time_ns = a.qp_two_qubit_gate_time_ns[k];
-        input.qubit.two_qubit_joint_measurement_time_ns =
-            a.qp_two_qubit_joint_measurement_time_ns[k];
-        input.qubit.t_gate_time_ns = a.qp_t_gate_time_ns[k];
-        input.qubit.one_qubit_measurement_error_rate =
-            a.qp_one_qubit_measurement_error_rate[k];
-        input.qubit.one_qubit_gate_error_rate = a.qp_one_qubit_gate_error_rate[k];
-        input.qubit.two_qubit_gate_error_rate = a.qp_two_qubit_gate_error_rate[k];
-        input.qubit.two_qubit_joint_measurement_error_rate =
-            a.qp_two_qubit_joint_measurement_error_rate[k];
-        input.qubit.t_gate_error_rate = a.qp_t_gate_error_rate[k];
-        input.qubit.idle_error_rate = a.qp_idle_error_rate[k];
-        input.qec = a.qp_qecs[k];
+        input.qubit = value.qubit;
+        input.qec = value.qec;
         break;
     }
   }
@@ -174,8 +152,7 @@ BatchKernelPlan plan_batch_kernel(const json::Value& job, const std::vector<json
       for (std::size_t j = 0; j < declared.size(); ++j) {
         BatchKernelAxis& a = plan.axes_[j];
         a.path = declared[j].path;
-        a.size = declared[j].values.size();
-        stride /= a.size;
+        stride /= declared[j].values.size();
         a.stride = stride;
         head_section(a.path, a.section);
       }
@@ -187,25 +164,34 @@ BatchKernelPlan plan_batch_kernel(const json::Value& job, const std::vector<json
     // are exact. A value whose probe fails validation/parsing is marked
     // invalid; grid items picking it run the legacy fallback and produce
     // identical error documents.
-    std::vector<std::vector<EstimationInput>> parsed(plan.axes_.size());
-    for (std::size_t j = 0; j < plan.axes_.size(); ++j) {
-      BatchKernelAxis& a = plan.axes_[j];
-      std::uint8_t* valid = plan.arena_.alloc_array<std::uint8_t>(a.size);
-      parsed[j].resize(a.size);
-      for (std::size_t k = 0; k < a.size; ++k) {
-        const json::Value& probe = items[k * a.stride];
-        Diagnostics probe_diags;
-        api::validate_job(probe, registry, probe_diags);
-        if (probe_diags.has_errors()) continue;
+    // Only invalid values get a default-constructed placeholder: building an
+    // EstimationInput (its QEC formulas and distillation units) costs about
+    // as much as parsing one.
+    auto parse_value = [&registry](const json::Value& probe, std::uint8_t& valid) {
+      Diagnostics probe_diags;
+      api::validate_job(probe, registry, probe_diags);
+      if (!probe_diags.has_errors()) {
         try {
           Diagnostics sink;  // tolerate warnings, as the legacy runner does
-          parsed[j][k] = api::input_from_document(probe, registry, &sink);
-          valid[k] = 1;
+          EstimationInput input = api::input_from_document(probe, registry, &sink);
+          valid = 1;
+          return input;
         } catch (const std::exception&) {
           // leave invalid: the fallback runner reports the exact error
         }
       }
-      a.valid = valid;
+      return EstimationInput{};
+    };
+    for (std::size_t j = 0; j < plan.axes_.size(); ++j) {
+      BatchKernelAxis& a = plan.axes_[j];
+      const std::size_t n = declared[j].values.size();
+      a.values.reserve(n);
+      a.valid.assign(n, 0);
+      a.key_dumps.reserve(n);
+      for (std::size_t k = 0; k < n; ++k) {
+        a.key_dumps.push_back(canonical_key(declared[j].values[k]));
+        a.values.push_back(parse_value(items[k * a.stride], a.valid[k]));
+      }
     }
 
     // Reference input: the first grid point whose picks are all valid; its
@@ -214,94 +200,14 @@ BatchKernelPlan plan_batch_kernel(const json::Value& job, const std::vector<json
       std::size_t reference = 0;
       for (std::size_t j = 0; j < plan.axes_.size(); ++j) {
         const BatchKernelAxis& a = plan.axes_[j];
-        std::size_t first_valid = a.size;
-        for (std::size_t k = 0; k < a.size; ++k) {
-          if (a.valid[k]) {
-            first_valid = k;
-            break;
-          }
-        }
-        if (first_valid == a.size) {
+        const auto first_valid = std::find(a.valid.begin(), a.valid.end(), 1);
+        if (first_valid == a.valid.end()) {
           return decline("axis '" + a.path + "' has no valid values");
         }
-        reference += first_valid * a.stride;
+        reference += static_cast<std::size_t>(first_valid - a.valid.begin()) * a.stride;
       }
       Diagnostics sink;
       plan.reference_input_ = api::input_from_document(items[reference], registry, &sink);
-    }
-
-    // Column fill: one tight pass per field over contiguous arena storage.
-    for (std::size_t j = 0; j < plan.axes_.size(); ++j) {
-      BatchKernelAxis& a = plan.axes_[j];
-      const std::vector<EstimationInput>& in = parsed[j];
-      const std::size_t n = a.size;
-      switch (a.section) {
-        case BatchKernelAxis::Section::kLogicalCounts: {
-          auto fill = [&](std::uint64_t LogicalCounts::* field) {
-            std::uint64_t* col = plan.arena_.alloc_array<std::uint64_t>(n);
-            for (std::size_t k = 0; k < n; ++k) col[k] = in[k].counts.*field;
-            return static_cast<const std::uint64_t*>(col);
-          };
-          a.lc_num_qubits = fill(&LogicalCounts::num_qubits);
-          a.lc_t_count = fill(&LogicalCounts::t_count);
-          a.lc_rotation_count = fill(&LogicalCounts::rotation_count);
-          a.lc_rotation_depth = fill(&LogicalCounts::rotation_depth);
-          a.lc_ccz_count = fill(&LogicalCounts::ccz_count);
-          a.lc_ccix_count = fill(&LogicalCounts::ccix_count);
-          a.lc_measurement_count = fill(&LogicalCounts::measurement_count);
-          a.lc_clifford_count = fill(&LogicalCounts::clifford_count);
-          break;
-        }
-        case BatchKernelAxis::Section::kErrorBudget: {
-          ErrorBudget* col = plan.arena_.alloc_array<ErrorBudget>(n);
-          for (std::size_t k = 0; k < n; ++k) col[k] = in[k].budget;
-          a.budgets = col;
-          break;
-        }
-        case BatchKernelAxis::Section::kConstraints: {
-          Constraints* col = plan.arena_.alloc_array<Constraints>(n);
-          for (std::size_t k = 0; k < n; ++k) col[k] = in[k].constraints;
-          a.constraints = col;
-          break;
-        }
-        case BatchKernelAxis::Section::kQubitParams: {
-          auto fill = [&](double QubitParams::* field) {
-            double* col = plan.arena_.alloc_array<double>(n);
-            for (std::size_t k = 0; k < n; ++k) col[k] = in[k].qubit.*field;
-            return static_cast<const double*>(col);
-          };
-          a.qp_one_qubit_measurement_time_ns = fill(&QubitParams::one_qubit_measurement_time_ns);
-          a.qp_one_qubit_gate_time_ns = fill(&QubitParams::one_qubit_gate_time_ns);
-          a.qp_two_qubit_gate_time_ns = fill(&QubitParams::two_qubit_gate_time_ns);
-          a.qp_two_qubit_joint_measurement_time_ns =
-              fill(&QubitParams::two_qubit_joint_measurement_time_ns);
-          a.qp_t_gate_time_ns = fill(&QubitParams::t_gate_time_ns);
-          a.qp_one_qubit_measurement_error_rate =
-              fill(&QubitParams::one_qubit_measurement_error_rate);
-          a.qp_one_qubit_gate_error_rate = fill(&QubitParams::one_qubit_gate_error_rate);
-          a.qp_two_qubit_gate_error_rate = fill(&QubitParams::two_qubit_gate_error_rate);
-          a.qp_two_qubit_joint_measurement_error_rate =
-              fill(&QubitParams::two_qubit_joint_measurement_error_rate);
-          a.qp_t_gate_error_rate = fill(&QubitParams::t_gate_error_rate);
-          a.qp_idle_error_rate = fill(&QubitParams::idle_error_rate);
-          std::int32_t* sets = plan.arena_.alloc_array<std::int32_t>(n);
-          for (std::size_t k = 0; k < n; ++k) {
-            sets[k] = static_cast<std::int32_t>(in[k].qubit.instruction_set);
-          }
-          a.qp_instruction_set = sets;
-          a.qp_names.resize(n);
-          a.qp_qecs.reserve(n);
-          for (std::size_t k = 0; k < n; ++k) {
-            a.qp_names[k] = in[k].qubit.name;
-            a.qp_qecs.push_back(in[k].qec);
-          }
-          break;
-        }
-      }
-      a.key_dumps.resize(n);
-      for (std::size_t k = 0; k < n; ++k) {
-        a.key_dumps[k] = canonical_key(declared[j].values[k]);
-      }
     }
 
     // Cache-key skeleton: substitute a unique sentinel string for each axis

@@ -1,4 +1,4 @@
-// Vectorized batch-estimation kernel (ROADMAP item 1).
+// Batch-estimation kernel for sweep grids (ROADMAP item 1).
 //
 // Dense sweep grids — the paper's Fig. 3/4 workloads — are cartesian
 // products of a handful of axis values over one base document, yet the
@@ -8,13 +8,14 @@
 //
 //  * plan_batch_kernel() analyzes the sweep ONCE: it resolves the registry
 //    profile set, parses and validates each axis VALUE once (not each grid
-//    item), stores the parsed payloads as structure-of-arrays columns in a
-//    per-batch Arena (common/arena.hpp), and precomputes the canonical
-//    cache-key skeleton so per-item keys are spliced, not re-serialized;
-//  * run_batch_kernel() evaluates grid items by writing axis columns into a
-//    per-worker scratch EstimationInput and calling estimate_into() — on the
-//    steady-state path (plan built, buffers warm) this performs zero heap
-//    allocations per item (see docs/performance.md, "allocation contract");
+//    item), keeps each value's parsed EstimationInput on its axis, and
+//    precomputes the canonical cache-key skeleton so per-item keys are
+//    spliced, not re-serialized;
+//  * run_batch_kernel() evaluates grid items by copying each axis's parsed
+//    section into a per-worker scratch EstimationInput and calling
+//    estimate_into() — on the steady-state path (plan built, buffers warm)
+//    this performs zero heap allocations per item (see docs/performance.md,
+//    "allocation contract");
 //  * items the plan cannot cover — an axis value whose materialized document
 //    fails validation — run through the legacy per-item fallback runner, so
 //    mixed batches produce exactly the documents the scalar path would.
@@ -33,10 +34,10 @@
 //  * the spliced key skeleton must round-trip canonical_key() exactly
 //    (checked structurally at plan time; degenerate documents decline).
 //
-// The kernel is asserted bit-identical to the scalar path — same estimate()
-// arithmetic, same report rendering, same cache keys — by
-// tests/test_batch_kernel.cpp; EngineOptions::use_batch_kernel retains the
-// scalar path for comparison (qre_cli --no-batch-kernel).
+// The kernel is asserted bit-identical to the scalar per-item runner — same
+// estimate() arithmetic, same report rendering, same cache keys — by
+// tests/test_batch_kernel.cpp, which reaches the scalar runner by submitting
+// the expanded grid as an explicit "items" batch (never planned).
 #pragma once
 
 #include <cstddef>
@@ -45,67 +46,32 @@
 #include <vector>
 
 #include "api/registry.hpp"
-#include "common/arena.hpp"
 #include "core/estimator.hpp"
 #include "json/json.hpp"
 #include "service/engine.hpp"
 
 namespace qre::service {
 
-/// One sweep axis, analyzed: its grid geometry plus the parsed payload of
-/// every axis value, laid out as arena-backed structure-of-arrays columns so
-/// the evaluation loop touches contiguous typed memory instead of JSON
-/// nodes. Only the columns of the axis's section are populated.
+/// One sweep axis, analyzed: its grid geometry plus the parsed input of
+/// every axis value. Evaluation copies only the axis's section out of
+/// `values[k]`; the rest of each parse is unused.
 struct BatchKernelAxis {
   enum class Section { kLogicalCounts, kErrorBudget, kConstraints, kQubitParams };
 
   Section section = Section::kLogicalCounts;
   std::string path;        // as declared in the sweep, possibly dotted
-  std::size_t size = 0;    // number of values
   std::size_t stride = 1;  // row-major stride in the expanded grid
 
-  /// Per-value: 1 when the materialized probe document validated and parsed
-  /// (items picking an invalid value fall back to the legacy runner).
-  const std::uint8_t* valid = nullptr;
+  /// Per-value parse of the materialized probe document (base + this value,
+  /// every other axis at its first value); default-constructed when invalid.
+  std::vector<EstimationInput> values;
+
+  /// Per-value: 1 when the probe document validated and parsed (items
+  /// picking an invalid value fall back to the legacy runner).
+  std::vector<std::uint8_t> valid;
 
   /// Per-value canonical dump of the raw axis value, spliced into cache keys.
   std::vector<std::string> key_dumps;
-
-  // kLogicalCounts columns. Keep in sync with struct LogicalCounts.
-  const std::uint64_t* lc_num_qubits = nullptr;
-  const std::uint64_t* lc_t_count = nullptr;
-  const std::uint64_t* lc_rotation_count = nullptr;
-  const std::uint64_t* lc_rotation_depth = nullptr;
-  const std::uint64_t* lc_ccz_count = nullptr;
-  const std::uint64_t* lc_ccix_count = nullptr;
-  const std::uint64_t* lc_measurement_count = nullptr;
-  const std::uint64_t* lc_clifford_count = nullptr;
-
-  // kErrorBudget / kConstraints: arena arrays of the parsed values (both
-  // types are trivially destructible, the Arena requirement).
-  const ErrorBudget* budgets = nullptr;
-  const Constraints* constraints = nullptr;
-
-  // kQubitParams columns. Keep in sync with struct QubitParams; the
-  // bit-identity suite sweeps presets differing in every field, so a column
-  // missing here fails tests rather than silently drifting.
-  const double* qp_one_qubit_measurement_time_ns = nullptr;
-  const double* qp_one_qubit_gate_time_ns = nullptr;
-  const double* qp_two_qubit_gate_time_ns = nullptr;
-  const double* qp_two_qubit_joint_measurement_time_ns = nullptr;
-  const double* qp_t_gate_time_ns = nullptr;
-  const double* qp_one_qubit_measurement_error_rate = nullptr;
-  const double* qp_one_qubit_gate_error_rate = nullptr;
-  const double* qp_two_qubit_gate_error_rate = nullptr;
-  const double* qp_two_qubit_joint_measurement_error_rate = nullptr;
-  const double* qp_t_gate_error_rate = nullptr;
-  const double* qp_idle_error_rate = nullptr;
-  const std::int32_t* qp_instruction_set = nullptr;
-  /// Non-trivial per-value state lives beside the columns: preset names and
-  /// the QEC scheme each qubit value resolves to (registry default for its
-  /// instruction set, or the registry scheme the value names).
-  std::vector<std::string> qp_names;
-  std::vector<QecScheme> qp_qecs;
 };
 
 /// Per-worker evaluation scratch. Reusing one scratch per worker slot is
@@ -119,16 +85,9 @@ struct BatchKernelScratch {
   std::string key_buf;
 };
 
-/// The per-sweep analysis result. Move-only: the axis columns point into the
-/// plan's own Arena.
+/// The per-sweep analysis result.
 class BatchKernelPlan {
  public:
-  BatchKernelPlan() = default;
-  BatchKernelPlan(const BatchKernelPlan&) = delete;
-  BatchKernelPlan& operator=(const BatchKernelPlan&) = delete;
-  BatchKernelPlan(BatchKernelPlan&&) = default;
-  BatchKernelPlan& operator=(BatchKernelPlan&&) = default;
-
   /// The kernel can evaluate this sweep; when false, `reason()` says why and
   /// the caller runs the legacy path.
   bool eligible() const { return eligible_; }
@@ -136,7 +95,6 @@ class BatchKernelPlan {
 
   std::size_t num_items() const { return num_items_; }
   std::size_t num_axes() const { return axes_.size(); }
-  const std::vector<BatchKernelAxis>& axes() const { return axes_; }
 
   /// The fully parsed input of the first all-valid grid point; per-item
   /// evaluation starts from a copy of this and overwrites axis sections.
@@ -145,7 +103,7 @@ class BatchKernelPlan {
   /// Splits a row-major grid index into per-axis value picks.
   void decompose(std::size_t index, std::vector<std::uint32_t>& picks) const {
     for (std::size_t j = 0; j < axes_.size(); ++j) {
-      picks[j] = static_cast<std::uint32_t>((index / axes_[j].stride) % axes_[j].size);
+      picks[j] = static_cast<std::uint32_t>((index / axes_[j].stride) % axes_[j].values.size());
     }
   }
 
@@ -157,8 +115,9 @@ class BatchKernelPlan {
     return true;
   }
 
-  /// Writes the picked axis values into `input` (all other sections were
-  /// fixed by the reference input). Allocation-free at steady state.
+  /// Copies the picked values' axis sections into `input` (all other
+  /// sections were fixed by the reference input). Allocation-free at steady
+  /// state.
   void apply(const std::vector<std::uint32_t>& picks, EstimationInput& input) const;
 
   /// Builds the canonical cache key for the picked grid point into `out` by
@@ -175,7 +134,6 @@ class BatchKernelPlan {
                                            const std::vector<json::Value>& items,
                                            const api::Registry& registry);
 
-  Arena arena_;  // declared first: columns must die before their storage
   bool eligible_ = false;
   std::string reason_;
   std::size_t num_items_ = 0;

@@ -58,11 +58,6 @@ struct EngineOptions {
   /// Memoize results by canonical item key (duplicated grid points are
   /// computed once).
   bool use_cache = true;
-  /// Route eligible sweep batches through the vectorized SoA batch kernel
-  /// (service/batch_kernel.hpp). The kernel is bit-identical to the scalar
-  /// path; this switch retains the scalar path for comparison and debugging
-  /// (qre_cli/qre_serve --no-batch-kernel).
-  bool use_batch_kernel = true;
   /// Entry bound for the batch-private cache (LRU evicted beyond it;
   /// 0 = unbounded). Ignored when an external `cache` is supplied.
   std::size_t cache_capacity = EstimateCache::kDefaultCapacity;
@@ -92,7 +87,7 @@ struct EngineOptions {
 /// for identical jobs must stay byte-identical.
 /// Batch-kernel engagement counters, nested as "batchKernel" in the
 /// "batchStats" document whenever the kernel was consulted for a batch
-/// (i.e. the job was a sweep and use_batch_kernel was on). Items the kernel
+/// (i.e. the job was a sweep; see service/batch_kernel.hpp). Items the kernel
 /// plan could not cover (per-value validation failures, say) run through the
 /// legacy per-item fallback and are counted here — their cache hits/misses
 /// still tally through the same engine counters as kernel items, so mixed
@@ -115,9 +110,8 @@ struct BatchStats {
   std::uint64_t cache_evictions = 0;
   std::uint64_t factory_cache_hits = 0;
   std::uint64_t factory_cache_misses = 0;
-  /// Present iff the batch kernel was consulted; absent for items batches
-  /// and kernel-disabled runs, keeping their documents byte-identical to
-  /// earlier releases.
+  /// Present iff the batch kernel was consulted (sweeps); absent for items
+  /// batches, keeping their documents byte-identical to earlier releases.
   std::optional<BatchKernelStats> kernel;
 
   json::Value to_json() const;
@@ -140,7 +134,7 @@ json::Array run_batch(const std::vector<json::Value>& items, const JobRunner& ru
 /// The index-based generalization run_batch wraps: items are identified by
 /// index, runners receive their worker slot, and the memoization key comes
 /// from `key_fn` (may be null when options.use_cache is false). Every batch
-/// execution path — legacy scalar items and the SoA batch kernel — funnels
+/// execution path — legacy scalar items and the sweep batch kernel — funnels
 /// through this single implementation, so ordering, error isolation,
 /// cancellation, streaming, and cache accounting behave identically and are
 /// counted once regardless of which path produced a result.

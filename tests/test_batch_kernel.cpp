@@ -1,6 +1,5 @@
-// Tests of the vectorized batch-estimation kernel (service layer) and its
-// Arena backing store: bit-identity against the scalar path on Fig. 3/4
-// style and randomized grids, spliced cache keys, exact cache accounting
+// Tests of the sweep batch-estimation kernel (service layer): bit-identity
+// against the scalar per-item runner on Fig. 3/4 style and randomized grids, spliced cache keys, exact cache accounting
 // for mixed kernel/fallback batches, warm-vs-cold store identity, kernel
 // eligibility declines, and the steady-state allocation contract (zero
 // heap allocations per re-evaluated grid point, counted by a global
@@ -22,7 +21,6 @@
 
 #include "api/api.hpp"
 #include "api/registry.hpp"
-#include "common/arena.hpp"
 #include "common/error.hpp"
 #include "core/estimator.hpp"
 #include "core/job.hpp"
@@ -78,13 +76,21 @@ using service::BatchStats;
 using service::EngineOptions;
 using service::EstimateCache;
 
-json::Value run_sweep(const json::Value& job, bool use_kernel, std::size_t workers = 1,
+json::Value run_sweep(const json::Value& job, std::size_t workers = 1,
                       EstimateCache* cache = nullptr) {
   EngineOptions options;
   options.num_workers = workers;
-  options.use_batch_kernel = use_kernel;
   options.cache = cache;
   return run_job(job, options);
+}
+
+// The scalar reference: the same grid submitted as an explicit "items"
+// batch of the expanded sweep, which the engine never plans through the
+// kernel.
+json::Value run_scalar(const json::Value& sweep_job) {
+  json::Object job;
+  job.emplace_back("items", json::Value(service::expand_sweep(sweep_job)));
+  return run_sweep(json::Value(std::move(job)));
 }
 
 // Asserts both runs produced byte-identical result arrays and the same
@@ -107,61 +113,6 @@ const json::Value& kernel_stats(const json::Value& result) {
   return result.at("batchStats").at("batchKernel");
 }
 
-// ---------------------------------------------------------------- arena ---
-
-TEST(Arena, AllocationsAreAlignedAndCounted) {
-  Arena arena;
-  void* a = arena.allocate(3, 1);
-  void* b = arena.allocate(8, 8);
-  void* c = arena.allocate(1, 64);
-  EXPECT_NE(a, nullptr);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b) % 8, 0u);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(c) % 64, 0u);
-  EXPECT_EQ(arena.bytes_allocated(), 12u);  // 3 + 8 + 1, padding excluded
-  EXPECT_GE(arena.bytes_reserved(), Arena::kDefaultChunkBytes);
-}
-
-TEST(Arena, AllocArrayValueInitializes) {
-  Arena arena;
-  const std::uint64_t* xs = arena.alloc_array<std::uint64_t>(1000);
-  for (std::size_t i = 0; i < 1000; ++i) ASSERT_EQ(xs[i], 0u) << i;
-  const double* ds = arena.alloc_array<double>(16);
-  for (std::size_t i = 0; i < 16; ++i) ASSERT_EQ(ds[i], 0.0) << i;
-}
-
-TEST(Arena, OversizedRequestGetsDedicatedChunk) {
-  Arena arena(1024);
-  void* big = arena.allocate(1 << 20, 16);
-  EXPECT_NE(big, nullptr);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(big) % 16, 0u);
-  // A small follow-up allocation still succeeds (fresh normal chunk or the
-  // oversized chunk's tail), and the footprint covers both.
-  void* small = arena.allocate(64);
-  EXPECT_NE(small, nullptr);
-  EXPECT_GE(arena.bytes_reserved(), static_cast<std::size_t>(1 << 20));
-}
-
-TEST(Arena, ResetKeepsChunksForReuse) {
-  Arena arena(4096);
-  for (int i = 0; i < 8; ++i) arena.allocate(1024);
-  const std::size_t chunks = arena.num_chunks();
-  const std::size_t reserved = arena.bytes_reserved();
-  arena.reset();
-  EXPECT_EQ(arena.bytes_allocated(), 0u);
-  // An identically shaped second batch fits in the retained chunks.
-  for (int i = 0; i < 8; ++i) arena.allocate(1024);
-  EXPECT_EQ(arena.num_chunks(), chunks);
-  EXPECT_EQ(arena.bytes_reserved(), reserved);
-}
-
-TEST(Arena, ArenaAllocatorWorksWithStdVector) {
-  Arena arena;
-  std::vector<int, ArenaAllocator<int>> xs{ArenaAllocator<int>(arena)};
-  for (int i = 0; i < 1000; ++i) xs.push_back(i);
-  for (int i = 0; i < 1000; ++i) ASSERT_EQ(xs[i], i);
-  EXPECT_GT(arena.bytes_allocated(), 1000 * sizeof(int) - 1);
-}
-
 // --------------------------------------------------- kernel engagement ---
 
 const char* kFig4StyleSweep = R"({
@@ -176,7 +127,7 @@ const char* kFig4StyleSweep = R"({
 })";
 
 TEST(BatchKernel, EngagesOnFig4StyleSweep) {
-  json::Value result = run_sweep(json::parse(kFig4StyleSweep), true);
+  json::Value result = run_sweep(json::parse(kFig4StyleSweep));
   const json::Value& ks = kernel_stats(result);
   EXPECT_TRUE(ks.at("engaged").as_bool());
   EXPECT_EQ(ks.find("reason"), nullptr);
@@ -186,16 +137,13 @@ TEST(BatchKernel, EngagesOnFig4StyleSweep) {
 }
 
 TEST(BatchKernel, DisabledRunsAndItemsBatchesOmitTheStatsBlock) {
-  // --no-batch-kernel runs and hand-written "items" batches must keep their
-  // batchStats documents byte-identical to pre-kernel releases.
-  json::Value scalar = run_sweep(json::parse(kFig4StyleSweep), false);
-  EXPECT_EQ(scalar.at("batchStats").find("batchKernel"), nullptr);
-
+  // Hand-written "items" batches never consult the kernel and must keep
+  // their batchStats documents byte-identical to pre-kernel releases.
   json::Value items_job = json::parse(R"({
     "logicalCounts": {"numQubits": 50, "tCount": 50000},
     "items": [{"errorBudget": 0.001}, {"errorBudget": 0.01}]
   })");
-  json::Value items_result = run_sweep(items_job, true);
+  json::Value items_result = run_sweep(items_job);
   EXPECT_EQ(items_result.at("batchStats").find("batchKernel"), nullptr);
 }
 
@@ -203,8 +151,8 @@ TEST(BatchKernel, DisabledRunsAndItemsBatchesOmitTheStatsBlock) {
 
 TEST(BatchKernel, BitIdenticalToScalarOnFig4StyleGrid) {
   json::Value job = json::parse(kFig4StyleSweep);
-  json::Value kernel = run_sweep(job, true);
-  json::Value scalar = run_sweep(job, false);
+  json::Value kernel = run_sweep(job);
+  json::Value scalar = run_scalar(job);
   ASSERT_TRUE(kernel_stats(kernel).at("engaged").as_bool());
   expect_bit_identical(kernel, scalar);
 }
@@ -223,8 +171,8 @@ TEST(BatchKernel, BitIdenticalToScalarOnFig3StyleGrid) {
       "qubitParams": [{"name": "qubit_gate_ns_e3"}, {"name": "qubit_maj_ns_e6"}]
     }
   })");
-  json::Value kernel = run_sweep(job, true);
-  json::Value scalar = run_sweep(job, false);
+  json::Value kernel = run_sweep(job);
+  json::Value scalar = run_scalar(job);
   ASSERT_TRUE(kernel_stats(kernel).at("engaged").as_bool());
   expect_bit_identical(kernel, scalar);
 }
@@ -240,8 +188,8 @@ TEST(BatchKernel, BitIdenticalOnDottedAxesIntoEverySection) {
       "constraints.maxTFactories": [2, 8]
     }
   })");
-  json::Value kernel = run_sweep(job, true);
-  json::Value scalar = run_sweep(job, false);
+  json::Value kernel = run_sweep(job);
+  json::Value scalar = run_scalar(job);
   ASSERT_TRUE(kernel_stats(kernel).at("engaged").as_bool())
       << kernel_stats(kernel).dump();
   EXPECT_EQ(kernel_stats(kernel).at("kernelItems").as_uint(), 8u);
@@ -250,9 +198,9 @@ TEST(BatchKernel, BitIdenticalOnDottedAxesIntoEverySection) {
 
 TEST(BatchKernel, ParallelKernelMatchesSerialKernelAndScalar) {
   json::Value job = json::parse(kFig4StyleSweep);
-  json::Value serial = run_sweep(job, true, 1);
-  json::Value parallel = run_sweep(job, true, 4);
-  json::Value scalar = run_sweep(job, false, 1);
+  json::Value serial = run_sweep(job, 1);
+  json::Value parallel = run_sweep(job, 4);
+  json::Value scalar = run_scalar(job);
   ASSERT_TRUE(kernel_stats(parallel).at("engaged").as_bool());
   expect_bit_identical(parallel, serial);
   expect_bit_identical(parallel, scalar);
@@ -310,8 +258,8 @@ TEST(BatchKernel, RandomizedGridsAreBitIdenticalToScalar) {
     job.emplace_back("sweep", json::Value(std::move(sweep)));
     json::Value doc{std::move(job)};
 
-    json::Value kernel = run_sweep(doc, true, uniform(1, 4));
-    json::Value scalar = run_sweep(doc, false);
+    json::Value kernel = run_sweep(doc, uniform(1, 4));
+    json::Value scalar = run_scalar(doc);
     ASSERT_TRUE(kernel_stats(kernel).at("engaged").as_bool())
         << "iter " << iter << ": " << kernel_stats(kernel).dump();
     SCOPED_TRACE("iter " + std::to_string(iter) + " job " + doc.dump());
@@ -336,8 +284,8 @@ TEST(BatchKernel, InvalidAxisValuesFallBackToIdenticalErrorDocuments) {
       "errorBudget": [0.001, 0.01]
     }
   })");
-  json::Value kernel = run_sweep(job, true);
-  json::Value scalar = run_sweep(job, false);
+  json::Value kernel = run_sweep(job);
+  json::Value scalar = run_scalar(job);
   const json::Value& ks = kernel_stats(kernel);
   EXPECT_TRUE(ks.at("engaged").as_bool());
   EXPECT_EQ(ks.at("kernelItems").as_uint(), 4u);
@@ -358,7 +306,7 @@ TEST(BatchKernel, CacheAccountingIsExactAcrossKernelAndFallbackItems) {
       "errorBudget": [0.001, 0.01, 0.001]
     }
   })");
-  json::Value result = run_sweep(job, true);
+  json::Value result = run_sweep(job);
   const json::Value& stats = result.at("batchStats");
   const json::Value& ks = kernel_stats(result);
   EXPECT_TRUE(ks.at("engaged").as_bool());
@@ -374,8 +322,8 @@ TEST(BatchKernel, CacheAccountingIsExactAcrossKernelAndFallbackItems) {
   EXPECT_EQ(results[3].dump(), results[5].dump());
   EXPECT_NE(results[3].find("error"), nullptr);
 
-  // Same accounting on the scalar path (satellite: one code path for both).
-  json::Value scalar = run_sweep(job, false);
+  // Same accounting on the scalar path: both tally through one code path.
+  json::Value scalar = run_scalar(job);
   EXPECT_EQ(scalar.at("batchStats").at("cacheMisses").as_uint(), 4u);
   EXPECT_EQ(scalar.at("batchStats").at("cacheHits").as_uint(), 2u);
 }
@@ -421,16 +369,16 @@ TEST(BatchKernel, WarmStoreReplaysBitIdenticalResults) {
 
   EstimateCache cold_cache;
   cold_cache.set_backing(&store);
-  json::Value first = run_sweep(job, true, 2, &cold_cache);
+  json::Value first = run_sweep(job, 2, &cold_cache);
   EXPECT_EQ(store.size(), 28u);
   EXPECT_EQ(store.served(), 0u);
 
   EstimateCache warm_cache;
   warm_cache.set_backing(&store);
-  json::Value replay = run_sweep(job, true, 2, &warm_cache);
+  json::Value replay = run_sweep(job, 2, &warm_cache);
   EXPECT_EQ(store.served(), 28u);  // every item served from the store
 
-  json::Value scalar = run_sweep(job, false);
+  json::Value scalar = run_scalar(job);
   expect_bit_identical(replay, first);
   expect_bit_identical(replay, scalar);
 }
@@ -460,7 +408,7 @@ TEST(BatchKernel, DeclinesRecordReasonAndStillMatchScalar) {
         "qecScheme": {"name": "surface_code"},
         "sweep": {"qubitParams": [{"name": "qubit_gate_ns_e3"}, {"name": "qubit_gate_ns_e4"}]}
       })"},
-      {"axis outside the SoA sections", R"({
+      {"axis outside the kernel sections", R"({
         "logicalCounts": {"numQubits": 20, "tCount": 5000},
         "sweep": {"qecScheme.name": ["surface_code"], "errorBudget": [0.001, 0.01]}
       })"},
@@ -468,8 +416,8 @@ TEST(BatchKernel, DeclinesRecordReasonAndStillMatchScalar) {
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
     json::Value job = json::parse(c.job);
-    json::Value kernel = run_sweep(job, true);
-    json::Value scalar = run_sweep(job, false);
+    json::Value kernel = run_sweep(job);
+    json::Value scalar = run_scalar(job);
     const json::Value& ks = kernel_stats(kernel);
     EXPECT_FALSE(ks.at("engaged").as_bool());
     EXPECT_FALSE(ks.at("reason").as_string().empty());

@@ -55,13 +55,16 @@ TEST(JobQueueStress, RacingSubmitPollCancelKeepsInvariants) {
   constexpr std::size_t kOpsPerThread = 200;
   std::vector<std::vector<std::uint64_t>> submitted_per_thread(kThreads);
   std::atomic<std::uint64_t> rejected{0};
-  std::atomic<std::uint64_t> cancelled{0};
+  // Distinct ids a cancel call accepted, per thread. Counting calls would
+  // count a job twice when a repeated cancel finds it still cancelling.
+  std::vector<std::set<std::uint64_t>> cancelled_per_thread(kThreads);
 
   std::vector<std::thread> clients;
   for (std::size_t t = 0; t < kThreads; ++t) {
     clients.emplace_back([&, t] {
       std::mt19937_64 rng(t);
       std::vector<std::uint64_t>& mine = submitted_per_thread[t];
+      std::set<std::uint64_t>& mine_cancelled = cancelled_per_thread[t];
       for (std::size_t op = 0; op < kOpsPerThread; ++op) {
         switch (rng() % 4) {
           case 0:
@@ -89,13 +92,14 @@ TEST(JobQueueStress, RacingSubmitPollCancelKeepsInvariants) {
           }
           default: {  // cancel one of ours
             if (!mine.empty()) {
-              const JobQueue::CancelResult result = queue.cancel(mine[rng() % mine.size()]);
+              const std::uint64_t id = mine[rng() % mine.size()];
+              const JobQueue::CancelResult result = queue.cancel(id);
               // kCancelled (was queued) and kCancelling (was running) both
               // guarantee a terminal "cancelled" — cancel wins over a runner
               // that happens to finish.
               if (result == JobQueue::CancelResult::kCancelled ||
                   result == JobQueue::CancelResult::kCancelling) {
-                cancelled.fetch_add(1, std::memory_order_relaxed);
+                mine_cancelled.insert(id);
               }
             }
             break;
@@ -114,6 +118,8 @@ TEST(JobQueueStress, RacingSubmitPollCancelKeepsInvariants) {
     all_ids.insert(ids.begin(), ids.end());
   }
   EXPECT_EQ(all_ids.size(), total_submitted);
+  std::set<std::uint64_t> cancelled;
+  for (const auto& ids : cancelled_per_thread) cancelled.insert(ids.begin(), ids.end());
 
   queue.drain();  // must terminate: running jobs finish, queued jobs cancel
 
@@ -126,6 +132,9 @@ TEST(JobQueueStress, RacingSubmitPollCancelKeepsInvariants) {
     const std::optional<json::Value> status = queue.status(id);
     ASSERT_TRUE(status.has_value()) << "job " << id << " evicted despite retention";
     const std::string& state = status->at("status").as_string();
+    if (cancelled.count(id) != 0) {
+      EXPECT_EQ(state, "cancelled") << "job " << id << " accepted a cancel";
+    }
     if (state == "succeeded") {
       ++succeeded;
       EXPECT_NE(status->find("response"), nullptr);
@@ -138,7 +147,7 @@ TEST(JobQueueStress, RacingSubmitPollCancelKeepsInvariants) {
     }
   }
   EXPECT_EQ(succeeded + failed + cancelled_terminal, total_submitted);
-  EXPECT_GE(cancelled_terminal, cancelled.load());  // drain cancels the rest
+  EXPECT_GE(cancelled_terminal, cancelled.size());  // drain cancels the rest
   // Cancel-wins: a job whose runner executed can still terminate cancelled
   // (its response is discarded), so executed bounds the counted terminals
   // from above instead of matching exactly.

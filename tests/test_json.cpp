@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <random>
+#include <vector>
+
 #include "common/error.hpp"
 #include "json/json.hpp"
 
@@ -115,6 +122,56 @@ TEST(Json, NumberFormatting) {
   EXPECT_EQ(Value(1.12e11).dump(), "1.12e+11");  // double, shortest round-trip
   Value v = parse(Value(0.1).dump());
   EXPECT_DOUBLE_EQ(v.as_double(), 0.1);
+}
+
+std::uint64_t bits_of(double d) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &d, sizeof bits);
+  return bits;
+}
+
+TEST(Json, EveryFiniteDoubleRoundTripsBitIdentical) {
+  // Property: parse(dump(x)) is bitwise x for every finite double,
+  // including both zeros, subnormals and the range extremes.
+  using limits = std::numeric_limits<double>;
+  std::vector<double> cases = {0.0,
+                               -0.0,
+                               limits::denorm_min(),
+                               -limits::denorm_min(),
+                               limits::min(),
+                               -limits::min(),
+                               limits::max(),
+                               -limits::max(),
+                               2.05e-308,
+                               1e23};
+  std::mt19937_64 rng(20231117);
+  while (cases.size() < 100000) {
+    const std::uint64_t bits = rng();
+    double d = 0.0;
+    std::memcpy(&d, &bits, sizeof d);
+    if (std::isfinite(d)) cases.push_back(d);
+  }
+  int failures = 0;
+  for (double x : cases) {
+    const std::string text = Value(x).dump();
+    std::uint64_t back = ~bits_of(x);
+    try {
+      back = bits_of(parse(text).as_double());
+    } catch (const Error&) {
+      // counted as a mismatch below
+    }
+    if (back != bits_of(x) && ++failures <= 10) {
+      ADD_FAILURE() << "dump " << text << " did not parse back to the same double";
+    }
+  }
+  EXPECT_EQ(failures, 0);
+}
+
+TEST(Json, NumbersBeyondDoubleRangeAreRejected) {
+  EXPECT_THROW(parse("1e400"), Error);
+  EXPECT_THROW(parse("-1e400"), Error);
+  EXPECT_THROW(parse("1e-400"), Error);  // nonzero literal that underflows to 0
+  EXPECT_EQ(bits_of(parse("0e-400").as_double()), bits_of(0.0));
 }
 
 TEST(Json, ParseFileMissing) { EXPECT_THROW(parse_file("/nonexistent/x.json"), Error); }

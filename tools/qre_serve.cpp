@@ -57,8 +57,6 @@ void print_usage(std::FILE* out) {
                "                      429 (default 64)\n"
                "  --jobs N            worker threads per batch/sweep request\n"
                "                      (default: hardware concurrency)\n"
-               "  --no-batch-kernel   evaluate sweeps on the legacy scalar path instead\n"
-               "                      of the SoA batch kernel (docs/performance.md)\n"
                "  --cache-capacity N  shared estimate-cache entry bound (LRU; 0 =\n"
                "                      unbounded; default %zu)\n"
                "  --cache-dir DIR     persistent estimate store: prewarm from\n"
@@ -153,8 +151,6 @@ int parse_args(int argc, char** argv, Options& opts) {
       const char* v = next("--jobs");
       if (v == nullptr || !parse_size(v, 1, n)) return 2;
       opts.service.engine.num_workers = static_cast<std::size_t>(n);
-    } else if (arg == "--no-batch-kernel") {
-      opts.service.engine.use_batch_kernel = false;
     } else if (arg == "--cache-capacity") {
       const char* v = next("--cache-capacity");
       if (v == nullptr || !parse_size(v, 0, n)) return 2;
