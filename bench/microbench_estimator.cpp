@@ -222,12 +222,15 @@ void write_estimator_bench_json() {
   serial_uncached.use_cache = false;
   // Scheduler and frequency noise on a shared runner only ever ADDS time,
   // so each path's cost is the fastest pass, not the mean (the mean swings
-  // 30-40% between runs of the same binary). The two paths interleave
-  // inside one loop so a transient load spike hits both, keeping the
-  // kernel/scalar RATIO — what scripts/check_bench_regression.sh gates
-  // on — stable even when the absolute numbers move with the runner.
+  // 30-40% between runs of the same binary). The paths interleave inside
+  // one loop so a transient load spike hits all of them, keeping the
+  // kernel/scalar and serialised/unserialised RATIOS — what
+  // scripts/check_bench_regression.sh gates on — stable even when the
+  // absolute numbers move with the runner. The serialised pass is the
+  // kernel pass plus dump() of its result: the bytes a caller receives.
   double kernel_sweep_ms = std::numeric_limits<double>::infinity();
   double scalar_sweep_ms = std::numeric_limits<double>::infinity();
+  double serialised_sweep_ms = std::numeric_limits<double>::infinity();
   benchmark::DoNotOptimize(run_job(dense_job, serial_uncached));  // warm-up
   benchmark::DoNotOptimize(run_job(dense_items_job, serial_uncached));
   {
@@ -240,6 +243,9 @@ void write_estimator_bench_json() {
       t0 = std::chrono::steady_clock::now();
       benchmark::DoNotOptimize(run_job(dense_items_job, serial_uncached));
       scalar_sweep_ms = std::min(scalar_sweep_ms, seconds_since(t0) * 1e3);
+      t0 = std::chrono::steady_clock::now();
+      benchmark::DoNotOptimize(run_job(dense_job, serial_uncached).dump());
+      serialised_sweep_ms = std::min(serialised_sweep_ms, seconds_since(t0) * 1e3);
       ++reps;
     } while (seconds_since(start) < 0.9 || reps < 5);
   }
@@ -264,6 +270,7 @@ void write_estimator_bench_json() {
   const double dense_points = 198.0;  // 6 profiles x 33 budgets
   const double kernel_items_per_sec = dense_points / (kernel_sweep_ms * 1e-3);
   const double scalar_items_per_sec = dense_points / (scalar_sweep_ms * 1e-3);
+  const double serialised_items_per_sec = dense_points / (serialised_sweep_ms * 1e-3);
   std::printf("\nself-timed against the brute-force core "
               "(exhaustive search, factory cache off; conservative baseline):\n");
   std::printf("  tfactory search: %8.3f ms vs %8.2f ms  (%.1fx)\n", search_ms,
@@ -276,8 +283,11 @@ void write_estimator_bench_json() {
               "(warm factory cache, estimate cache off):\n");
   std::printf("  batch kernel:    %8.0f items/s (%.3f ms)\n", kernel_items_per_sec,
               kernel_sweep_ms);
-  std::printf("  scalar (items):  %8.0f items/s (%.3f ms)  kernel speedup %.1fx\n\n",
+  std::printf("  scalar (items):  %8.0f items/s (%.3f ms)  kernel speedup %.1fx\n",
               scalar_items_per_sec, scalar_sweep_ms, scalar_sweep_ms / kernel_sweep_ms);
+  std::printf("  kernel + dump(): %8.0f items/s (%.3f ms)  %.3f of unserialised\n\n",
+              serialised_items_per_sec, serialised_sweep_ms,
+              kernel_sweep_ms / serialised_sweep_ms);
 
   json::Object metrics;
   metrics.emplace_back("tfactory_search_ms", json::Value(search_ms));
@@ -299,6 +309,10 @@ void write_estimator_bench_json() {
   metrics.emplace_back("sweep_items_per_sec_scalar", json::Value(scalar_items_per_sec));
   metrics.emplace_back("sweep_kernel_speedup",
                        json::Value(scalar_sweep_ms / kernel_sweep_ms));
+  // The kernel sweep again with its result serialised. Its ratio to
+  // sweep_items_per_sec exposes a regression in dump(), a layer the
+  // kernel and scalar paths share and their ratio cannot see.
+  metrics.emplace_back("sweep_items_per_sec_serialised", json::Value(serialised_items_per_sec));
   metrics.emplace_back("sweep_items_per_sec_cold",
                        json::Value(sweep_points / (sweep_ms * 1e-3)));
   metrics.emplace_back("sweep_items_per_sec_cold_baseline",

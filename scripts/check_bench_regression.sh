@@ -2,11 +2,17 @@
 # Gates CI on sweep-throughput regressions.
 #
 # Compares a freshly measured BENCH_estimator.json against the committed
-# one. Raw items/s depends on the runner, so the gate compares the KERNEL
-# ADVANTAGE instead: sweep_items_per_sec normalized by the same run's
-# sweep_items_per_sec_scalar (the scalar path on the same grid, same
-# machine, same load). A drop of more than the threshold in that ratio
-# means the batch kernel itself regressed, not the hardware.
+# one. Raw items/s depends on the runner, so each gate compares a RATIO of
+# two numbers measured in the same run (same grid, same machine, same
+# load), in which runner speed cancels out:
+#
+#   kernel advantage   sweep_items_per_sec / sweep_items_per_sec_scalar
+#                      (a drop means the batch kernel itself regressed)
+#   serialised share   sweep_items_per_sec_serialised / sweep_items_per_sec
+#                      (a drop means dump() regressed: a layer both paths
+#                      share, invisible to the kernel advantage)
+#
+# A drop of more than the threshold in either ratio fails the gate.
 #
 # Usage: scripts/check_bench_regression.sh <fresh.json> [committed.json]
 set -euo pipefail
@@ -21,28 +27,30 @@ import sys
 
 fresh_path, committed_path, threshold = sys.argv[1], sys.argv[2], float(sys.argv[3])
 
-def speedup(path):
+def ratio(path, numerator, denominator):
     with open(path) as f:
         metrics = json.load(f)["metrics"]
-    kernel = metrics["sweep_items_per_sec"]
-    scalar = metrics["sweep_items_per_sec_scalar"]
-    if scalar <= 0:
-        sys.exit(f"{path}: sweep_items_per_sec_scalar must be positive, got {scalar}")
-    return kernel, scalar, kernel / scalar
+    top, bottom = metrics[numerator], metrics[denominator]
+    if bottom <= 0:
+        sys.exit(f"{path}: {denominator} must be positive, got {bottom}")
+    return top, bottom, top / bottom
 
-fresh_kernel, fresh_scalar, fresh_ratio = speedup(fresh_path)
-committed_kernel, committed_scalar, committed_ratio = speedup(committed_path)
-
-print(f"committed: kernel {committed_kernel:10.0f} items/s  "
-      f"scalar {committed_scalar:10.0f} items/s  advantage {committed_ratio:.3f}x")
-print(f"fresh:     kernel {fresh_kernel:10.0f} items/s  "
-      f"scalar {fresh_scalar:10.0f} items/s  advantage {fresh_ratio:.3f}x")
-
-floor = committed_ratio * (1.0 - threshold)
-if fresh_ratio < floor:
-    sys.exit(f"REGRESSION: kernel advantage {fresh_ratio:.3f}x is more than "
-             f"{threshold:.0%} below the committed {committed_ratio:.3f}x "
-             f"(floor {floor:.3f}x)")
-print(f"OK: kernel advantage within {threshold:.0%} of the committed ratio "
-      f"(floor {floor:.3f}x)")
+failed = False
+for label, numerator, denominator in (
+        ("kernel advantage", "sweep_items_per_sec", "sweep_items_per_sec_scalar"),
+        ("serialised share", "sweep_items_per_sec_serialised", "sweep_items_per_sec")):
+    c_top, c_bottom, c_ratio = ratio(committed_path, numerator, denominator)
+    f_top, f_bottom, f_ratio = ratio(fresh_path, numerator, denominator)
+    print(f"{label}: {numerator} / {denominator}")
+    print(f"  committed: {c_top:10.0f} / {c_bottom:10.0f} items/s = {c_ratio:.3f}x")
+    print(f"  fresh:     {f_top:10.0f} / {f_bottom:10.0f} items/s = {f_ratio:.3f}x")
+    floor = c_ratio * (1.0 - threshold)
+    if f_ratio < floor:
+        print(f"  REGRESSION: {f_ratio:.3f}x is more than {threshold:.0%} below the "
+              f"committed {c_ratio:.3f}x (floor {floor:.3f}x)")
+        failed = True
+    else:
+        print(f"  OK: within {threshold:.0%} of the committed ratio (floor {floor:.3f}x)")
+if failed:
+    sys.exit("REGRESSION: see above")
 PY

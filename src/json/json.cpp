@@ -1,7 +1,9 @@
 #include "json/json.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -129,27 +131,6 @@ void write_escaped(std::string& out, const std::string& s) {
   out.push_back('"');
 }
 
-void write_number(std::string& out, double d) {
-  if (std::isnan(d) || std::isinf(d)) {
-    out += "null";  // JSON has no NaN/Inf; estimator results never produce them
-    return;
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", d);
-  // Use the shortest representation that round-trips.
-  for (int prec = 1; prec < 17; ++prec) {
-    char shorter[40];
-    std::snprintf(shorter, sizeof shorter, "%.*g", prec, d);
-    double back = 0.0;
-    std::sscanf(shorter, "%lf", &back);
-    if (back == d) {
-      out += shorter;
-      return;
-    }
-  }
-  out += buf;
-}
-
 void indent_to(std::string& out, int indent, int depth) {
   if (indent <= 0) return;
   out.push_back('\n');
@@ -158,15 +139,45 @@ void indent_to(std::string& out, int indent, int depth) {
 
 }  // namespace
 
+void append_number(std::string& out, double d) {
+  if (!std::isfinite(d)) {
+    out += "null";  // JSON has no NaN/Inf; estimator results never produce them
+    return;
+  }
+  // The output is "%.{prec}g" at the smallest prec that reads back as d
+  // (cache keys, store records and golden files depend on these bytes).
+  // The digit count P of the shortest round-trip scientific form is where
+  // that search starts: no shorter decimal reads back. It cannot always
+  // stop at P, because %.{P}g is the *correctly rounded* P-digit decimal,
+  // which can miss d where another P-digit decimal hits it (powers of two,
+  // whose rounding interval is asymmetric, e.g. 0x1p-1017). Those take one
+  // more digit; 17 digits always round-trip.
+  char buf[32];
+  const auto shortest = std::to_chars(buf, buf + sizeof buf, d, std::chars_format::scientific);
+  const char* exponent = std::find(buf, shortest.ptr, 'e');
+  int prec = static_cast<int>(exponent - buf) - (buf[0] == '-' ? 1 : 0);
+  if (prec > 1) --prec;  // the decimal point
+  for (;; ++prec) {
+    const auto general = std::to_chars(buf, buf + sizeof buf, d, std::chars_format::general, prec);
+    double back = 0.0;
+    std::from_chars(buf, general.ptr, back);
+    if (back == d || prec >= 17) {
+      out.append(buf, general.ptr);
+      return;
+    }
+  }
+}
+
 void Value::write(std::string& out, int indent, int depth) const {
   if (is_null()) {
     out += "null";
   } else if (const bool* b = std::get_if<bool>(&data_)) {
     out += *b ? "true" : "false";
   } else if (const std::int64_t* i = std::get_if<std::int64_t>(&data_)) {
-    out += std::to_string(*i);
+    char buf[24];
+    out.append(buf, std::to_chars(buf, buf + sizeof buf, *i).ptr);
   } else if (const double* d = std::get_if<double>(&data_)) {
-    write_number(out, *d);
+    append_number(out, *d);
   } else if (const std::string* s = std::get_if<std::string>(&data_)) {
     write_escaped(out, *s);
   } else if (const Array* a = std::get_if<Array>(&data_)) {

@@ -82,6 +82,10 @@ class Value {
   std::variant<std::nullptr_t, bool, double, std::int64_t, std::string, Array, Object> data_;
 };
 
+/// Appends `d` the way dump() writes a double: the shortest "%.{prec}g"
+/// form that reads back as exactly `d` ("null" for NaN and infinities).
+void append_number(std::string& out, double d);
+
 /// Parses a complete JSON document; throws qre::Error with line/column info.
 Value parse(std::string_view text);
 

@@ -1,7 +1,14 @@
 #include "store/estimate_store.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/failpoint.hpp"
@@ -18,21 +25,100 @@ bool is_error_document(const json::Value& result) {
   return result.is_object() && result.find("error") != nullptr;
 }
 
+/// Opens a file in `dir` that has no name: O_TMPFILE where the filesystem
+/// supports it, else a uniquely named file unlinked at once. Each store
+/// gets its own, and the kernel frees it when the descriptor closes, even
+/// after a crash. Returns -1 when neither works.
+int open_spill_file(const std::string& dir) {
+#ifdef O_TMPFILE
+  const int fd = ::open(dir.c_str(), O_TMPFILE | O_RDWR | O_CLOEXEC, 0600);
+  if (fd >= 0) return fd;
+#endif
+  std::string name = dir + "/.estimates.spill.XXXXXX";
+  const int named = ::mkostemp(name.data(), O_CLOEXEC);
+  if (named >= 0) {
+    ::unlink(name.c_str());
+  } else {
+    std::fprintf(stderr, "store: cannot create a spill file in '%s': %s; nothing will be stored\n",
+                 dir.c_str(), std::strerror(errno));
+  }
+  return named;
+}
+
+bool pwrite_all(int fd, std::string_view bytes, std::uint64_t offset) {
+  while (!bytes.empty()) {
+    const ssize_t n = ::pwrite(fd, bytes.data(), bytes.size(), static_cast<off_t>(offset));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    bytes.remove_prefix(static_cast<std::size_t>(n));
+    offset += static_cast<std::uint64_t>(n);
+  }
+  return true;
+}
+
 }  // namespace
 
 EstimateStore::EstimateStore(const std::string& dir)
-    : path_(dir + "/" + kStoreFileName) {}
+    : path_(dir + "/" + kStoreFileName), spill_fd_(open_spill_file(dir)) {}
+
+EstimateStore::~EstimateStore() {
+  if (spill_fd_ >= 0) ::close(spill_fd_);
+}
+
+bool EstimateStore::append(std::string_view key, std::string_view value) {
+  if (spill_fd_ < 0) return false;
+  try {
+    QRE_FAILPOINT("store.spill.write");
+  } catch (const std::exception&) {
+    return false;
+  }
+  // A failed or short write leaves bytes past spill_end_ that the next
+  // append overwrites; nothing points at them.
+  if (!pwrite_all(spill_fd_, value, spill_end_)) return false;
+  records_.push_back({std::string(key), spill_end_, value.size()});
+  index_.emplace(records_.back().key, records_.size() - 1);
+  spill_end_ += value.size();
+  payload_bytes_ += kRecordHeaderSize + key.size() + value.size();
+  return true;
+}
+
+bool EstimateStore::read_value(const Entry& entry, std::string& out) const {
+  // Spilled bytes never change once indexed, so no lock is needed here.
+  out.resize(entry.size);
+  std::size_t got = 0;
+  while (got < entry.size) {
+    const ssize_t n = ::pread(spill_fd_, out.data() + got, entry.size - got,
+                              static_cast<off_t>(entry.offset + got));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    got += static_cast<std::size_t>(n);
+  }
+  return true;
+}
 
 LoadResult EstimateStore::load() {
   LoadResult result;
-  std::vector<Record> from_disk;
   try {
     // Injected open/read faults degrade to the cold-start path below, the
     // same way a rejected or unreadable file does.
     QRE_FAILPOINT("store.open.before_read");
-    result.records_skipped = read_store_records(path_, from_disk);
+    const StoreReader reader(path_);
+    // Views into the reader's mapping: each value is copied once, straight
+    // into the spill file.
+    std::vector<std::pair<std::string_view, std::string_view>> from_disk;
+    result.records_skipped = reader.for_each(
+        [&from_disk](std::string_view key, std::string_view value) {
+          from_disk.emplace_back(key, value);
+        });
     result.file_found = true;
     result.usable = true;
+    MutexLock lock(mutex_);
+    for (const auto& [key, value] : from_disk) {
+      if (index_.count(key) != 0) continue;  // in-memory entries win
+      if (append(key, value)) ++result.records_loaded;
+    }
+    last_load_ = result;
+    return result;
   } catch (const Error& e) {
     // Missing file or unusable header: either way, a cold start. errno-
     // style "cannot open" is the missing-file case; everything else means
@@ -43,28 +129,18 @@ LoadResult EstimateStore::load() {
     last_load_ = result;
     return result;
   }
-
-  MutexLock lock(mutex_);
-  for (Record& r : from_disk) {
-    if (index_.count(r.key) != 0) continue;  // in-memory entries win
-    payload_bytes_ += kRecordHeaderSize + r.key.size() + r.value.size();
-    index_.emplace(r.key, records_.size());
-    records_.push_back(std::move(r));
-    ++result.records_loaded;
-  }
-  last_load_ = result;
-  return result;
 }
 
 std::optional<json::Value> EstimateStore::fetch(const std::string& key) {
   MutexLock lock(mutex_);
   auto it = index_.find(key);
-  if (it == index_.end()) {
+  std::string value;
+  if (it == index_.end() || !read_value(records_[it->second], value)) {
     ++misses_;
     return std::nullopt;
   }
   try {
-    json::Value parsed = json::parse(records_[it->second].value);
+    json::Value parsed = json::parse(value);
     ++hits_;
     return parsed;
   } catch (const std::exception&) {
@@ -85,23 +161,32 @@ void EstimateStore::record(const std::string& key, const json::Value& result) {
   }
   MutexLock lock(mutex_);
   if (index_.count(key) != 0) return;  // deterministic: first write is final
-  payload_bytes_ += kRecordHeaderSize + key.size() + value.size();
-  index_.emplace(key, records_.size());
-  records_.push_back({key, std::move(value)});
-  ++dirty_adds_;
+  if (append(key, value)) ++dirty_adds_;
 }
 
 bool EstimateStore::persist(bool force) {
-  // One persist at a time per process; snapshot under the data lock, write
-  // outside it so serving threads never wait on disk I/O.
+  // One persist at a time per process; snapshot the entries under the data
+  // lock, then read the values back and write outside it so serving
+  // threads never wait on disk I/O.
   MutexLock persist_lock(persist_mutex_);
-  std::vector<Record> snapshot;
+  std::vector<Entry> entries;
   std::size_t adds_at_snapshot;
   {
     MutexLock lock(mutex_);
     if (dirty_adds_ == 0 && !force) return false;
-    snapshot = records_;
+    entries.assign(records_.begin(), records_.end());
     adds_at_snapshot = dirty_adds_;
+  }
+  std::vector<Record> snapshot;
+  snapshot.reserve(entries.size());
+  for (Entry& entry : entries) {
+    Record r{std::move(entry.key), {}};
+    if (!read_value(entry, r.value)) {
+      std::fprintf(stderr, "store: persist to '%s' failed: cannot read a spilled value\n",
+                   path_.c_str());
+      return false;
+    }
+    snapshot.push_back(std::move(r));
   }
   try {
     write_store_file(path_, snapshot);

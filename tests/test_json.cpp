@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <charconv>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -165,6 +169,115 @@ TEST(Json, EveryFiniteDoubleRoundTripsBitIdentical) {
     }
   }
   EXPECT_EQ(failures, 0);
+}
+
+/// The writer's specification, kept as the differential oracle: the
+/// shortest "%.{prec}g" (prec = 1..16) that sscanf reads back as d, else
+/// "%.17g". dump() replaced this loop with std::to_chars and must stay
+/// byte-identical to it, because cache keys, store records and golden
+/// files are built from these bytes.
+std::string reference_number(double d) {
+  if (std::isnan(d) || std::isinf(d)) return "null";
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%.17g", d);
+  for (int prec = 1; prec < 17; ++prec) {
+    char shorter[40];
+    std::snprintf(shorter, sizeof shorter, "%.*g", prec, d);
+    double back = 0.0;
+    std::sscanf(shorter, "%lf", &back);
+    if (back == d) return shorter;
+  }
+  return buf;
+}
+
+/// True when "%.{P}g", P the digit count of d's shortest round-trip form,
+/// does not read back as d: the writer then needs more than P digits.
+bool needs_more_than_shortest(double d) {
+  char buf[40];
+  const auto end = std::to_chars(buf, buf + sizeof buf, d, std::chars_format::scientific).ptr;
+  int digits = 0;
+  for (const char* p = buf; p != end && *p != 'e'; ++p) digits += (*p >= '0' && *p <= '9');
+  std::snprintf(buf, sizeof buf, "%.*g", digits, d);
+  return std::strtod(buf, nullptr) != d;
+}
+
+TEST(Json, NumberWriterMatchesTheReferenceLoop) {
+  using limits = std::numeric_limits<double>;
+  std::vector<double> cases = {0.0,          -0.0,          limits::denorm_min(),
+                               limits::min(), limits::max(), -limits::max(),
+                               std::nextafter(limits::min(), 0.0),  // largest subnormal
+                               0x1p-1017,    0.1,           1e23,
+                               1.12e11,      123456789.0,   9007199254740993.0};
+  // Every power of two with both neighbours. Powers of two sit at the
+  // asymmetric rounding interval where the correctly rounded shortest-
+  // length decimal can miss and the writer must take one more digit.
+  for (int e = -1074; e <= 1023; ++e) {
+    const double p = std::ldexp(1.0, e);
+    cases.push_back(p);
+    cases.push_back(std::nextafter(p, 0.0));
+    cases.push_back(std::nextafter(p, limits::infinity()));
+  }
+  std::mt19937_64 rng(1302);
+  // Seeded random bit patterns across the whole finite range.
+  for (int i = 0; i < 40000;) {
+    const std::uint64_t bits = rng();
+    double d = 0.0;
+    std::memcpy(&d, &bits, sizeof d);
+    if (std::isfinite(d)) {
+      cases.push_back(d);
+      ++i;
+    }
+  }
+  // Decimal-structured values: short and long decimal mantissas at every
+  // exponent, the shapes request documents and reports actually carry.
+  std::uniform_int_distribution<int> digit_count(1, 17);
+  std::uniform_int_distribution<int> exponent(-340, 308);
+  std::uniform_int_distribution<int> digit(0, 9);
+  for (int i = 0; i < 20000; ++i) {
+    std::string text = std::to_string(1 + digit(rng) % 9) + ".";
+    for (int k = digit_count(rng); k > 1; --k) text += static_cast<char>('0' + digit(rng));
+    text += "e" + std::to_string(exponent(rng));
+    cases.push_back(std::strtod(text.c_str(), nullptr));
+  }
+  // Subnormals.
+  for (int i = 0; i < 2000; ++i) {
+    const std::uint64_t bits = rng() & ((std::uint64_t{1} << 52) - 1);
+    double d = 0.0;
+    std::memcpy(&d, &bits, sizeof d);
+    cases.push_back(d);
+  }
+  const std::size_t positives = cases.size();
+  for (std::size_t i = 0; i < positives; ++i) cases.push_back(-cases[i]);
+
+  int mismatches = 0;
+  int bumped = 0;
+  for (double x : cases) {
+    const std::string expected = reference_number(x);
+    const std::string actual = Value(x).dump();
+    if (actual != expected && ++mismatches <= 10) {
+      char hex[40];
+      std::snprintf(hex, sizeof hex, "%a", x);
+      ADD_FAILURE() << hex << ": dump " << actual << ", reference " << expected;
+    }
+    if (needs_more_than_shortest(x)) ++bumped;
+  }
+  EXPECT_EQ(mismatches, 0);
+  // The inputs reach the branch where the shortest length is not enough;
+  // 0x1p-1017 is one such value (16 shortest digits, 17 written).
+  EXPECT_GT(bumped, 0);
+  EXPECT_TRUE(needs_more_than_shortest(0x1p-1017));
+  EXPECT_EQ(Value(0x1p-1017).dump(), "7.1202363472230444e-307");
+}
+
+TEST(Json, AppendNumberIsTheDumpFormat) {
+  std::string out = "x=";
+  append_number(out, 1234567.891);
+  EXPECT_EQ(out, "x=1234567.891");
+  out.clear();
+  append_number(out, std::numeric_limits<double>::quiet_NaN());
+  EXPECT_EQ(out, "null");
+  EXPECT_EQ(Value(std::numeric_limits<std::int64_t>::min()).dump(), "-9223372036854775808");
+  EXPECT_EQ(Value(std::numeric_limits<std::int64_t>::max()).dump(), "9223372036854775807");
 }
 
 TEST(Json, NumbersBeyondDoubleRangeAreRejected) {

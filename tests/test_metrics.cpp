@@ -155,6 +155,24 @@ TEST(Prometheus, HistogramIsCumulativeWithInfAndSum) {
   EXPECT_NE(text.find("qre_request_latency_ms_count 10"), std::string::npos);
 }
 
+TEST(Prometheus, LargeSumsAndBoundsKeepEveryDigit) {
+  // %g would print 6 significant digits: "1.23457e+06" for the sum.
+  const json::Value doc = json::parse(R"({
+    "server": {
+      "latencyMs": {
+        "bucketUpperBoundsMs": [0.25, 1234.5678],
+        "counts": [1, 1, 0],
+        "totalMs": 1234567.891,
+        "count": 2
+      }
+    }
+  })");
+  const std::string text = server::to_prometheus_text(doc);
+  EXPECT_NE(text.find("qre_request_latency_ms_sum 1234567.891\n"), std::string::npos) << text;
+  EXPECT_NE(text.find(R"(qre_request_latency_ms_bucket{le="0.25"} 1)"), std::string::npos);
+  EXPECT_NE(text.find(R"(qre_request_latency_ms_bucket{le="1234.5678"} 2)"), std::string::npos);
+}
+
 TEST(Prometheus, EscapesLabelValues) {
   const json::Value doc = json::parse(R"({
     "server": {"requestsByRoute": {"GET /weird\"route\\path": 1}}

@@ -383,6 +383,67 @@ TEST(CrashRecovery, StoreOpenFaultDegradesToColdStart) {
   EXPECT_EQ(reloaded.records_loaded, 4u);
 }
 
+TEST(CrashRecovery, SpillWriteFailureLeavesTheRecordUnstored) {
+  if (!failpoint::compiled_in()) GTEST_SKIP() << "built with QRE_FAILPOINTS=OFF";
+  FailpointGuard guard;
+  TempDir dir;
+  const std::string kept_a = R"({"job":"a"})", lost = R"({"job":"b"})", kept_c = R"({"job":"c"})";
+  const json::Value value_a = json::parse(R"({"v":[1,0.25,"a"]})");
+  const json::Value value_b = json::parse(R"({"v":"bb"})");
+  const json::Value value_c = json::parse(R"({"v":{"c":1e-07}})");
+
+  store::EstimateStore s(dir.path);
+  s.record(kept_a, value_a);
+  failpoint::configure("store.spill.write=error");
+  s.record(lost, value_b);
+  EXPECT_EQ(failpoint::hits("store.spill.write"), 1u);
+  failpoint::reset();
+  s.record(kept_c, value_c);
+
+  EXPECT_EQ(s.records(), 2u);
+  const std::uint64_t expected_payload = 2 * store::kRecordHeaderSize + kept_a.size() +
+                                         value_a.dump().size() + kept_c.size() +
+                                         value_c.dump().size();
+  EXPECT_EQ(s.stats_to_json().at("payloadBytes").as_uint(), expected_payload);
+  EXPECT_FALSE(s.fetch(lost).has_value());
+  ASSERT_TRUE(s.fetch(kept_a).has_value());
+  EXPECT_EQ(s.fetch(kept_a)->dump(), value_a.dump());
+  ASSERT_TRUE(s.fetch(kept_c).has_value());
+  EXPECT_EQ(s.fetch(kept_c)->dump(), value_c.dump());
+
+  // The persisted snapshot holds exactly the stored records and loads.
+  EXPECT_TRUE(s.persist());
+  store::EstimateStore restarted(dir.path);
+  const store::LoadResult loaded = restarted.load();
+  EXPECT_TRUE(loaded.usable);
+  EXPECT_EQ(loaded.records_loaded, 2u);
+  EXPECT_EQ(loaded.records_skipped, 0u);
+  EXPECT_FALSE(restarted.fetch(lost).has_value());
+  ASSERT_TRUE(restarted.fetch(kept_c).has_value());
+  EXPECT_EQ(restarted.fetch(kept_c)->dump(), value_c.dump());
+
+  // The failure was not sticky: the key stores normally the next time.
+  s.record(lost, value_b);
+  ASSERT_TRUE(s.fetch(lost).has_value());
+  EXPECT_EQ(s.fetch(lost)->dump(), value_b.dump());
+}
+
+TEST(CrashRecovery, SpillWriteFailureDuringLoadSkipsThoseRecords) {
+  if (!failpoint::compiled_in()) GTEST_SKIP() << "built with QRE_FAILPOINTS=OFF";
+  FailpointGuard guard;
+  TempDir dir;
+  store::write_store_file(dir.file("estimates.qrestore"), snapshot_records(4, "old"));
+
+  failpoint::configure("store.spill.write=error");
+  store::EstimateStore s(dir.path);
+  const store::LoadResult loaded = s.load();
+  failpoint::reset();
+  EXPECT_TRUE(loaded.usable);  // the file was fine; the values had nowhere to go
+  EXPECT_EQ(loaded.records_loaded, 0u);
+  EXPECT_EQ(s.records(), 0u);
+  EXPECT_FALSE(s.fetch(R"({"job":"old0"})").has_value());
+}
+
 // ---------------------------------------------------------- client retries ---
 
 /// A scripted one-shot HTTP server: each accepted connection gets the next

@@ -6,10 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,6 +31,11 @@ namespace {
 using store::EstimateStore;
 using store::Record;
 using store::StoreReader;
+
+// Size and CRC-32 of the store image PersistedFileIsTheUnchangedFormatByteForByte
+// writes, as produced before values moved to the spill file.
+constexpr std::size_t kParentImageSize = 11417;
+constexpr std::uint32_t kParentImageCrc = 0x00B2000Du;
 
 /// A scratch directory removed at scope exit.
 struct TempDir {
@@ -312,6 +319,123 @@ TEST(EstimateStoreTest, ConcurrentWritersNeverCorruptTheFile) {
   std::size_t intact = 0;
   EXPECT_EQ(reader.for_each([&](std::string_view, std::string_view) { ++intact; }), 0u);
   EXPECT_EQ(intact, reader.record_count());
+}
+
+std::vector<std::string> directory_entries(const std::string& dir) {
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    names.push_back(entry.path().filename().string());
+  }
+  return names;
+}
+
+TEST(EstimateStoreTest, TwoStoresOnOneDirectoryKeepTheirOwnValues) {
+  // Each store spills into its own unnamed file: interleaved writes of
+  // different values under the same keys never cross over.
+  TempDir dir;
+  EstimateStore a(dir.path);
+  EstimateStore b(dir.path);
+  for (int i = 0; i < 20; ++i) {
+    const std::string key = "{\"job\":" + std::to_string(i) + "}";
+    a.record(key, json::parse("{\"from\":\"a\",\"i\":" + std::to_string(i) + "}"));
+    b.record(key, json::parse("{\"from\":\"bbbb\",\"i\":" + std::to_string(i * 3) + "}"));
+  }
+  for (int i = 0; i < 20; ++i) {
+    const std::string key = "{\"job\":" + std::to_string(i) + "}";
+    ASSERT_TRUE(a.fetch(key).has_value());
+    ASSERT_TRUE(b.fetch(key).has_value());
+    EXPECT_EQ(a.fetch(key)->dump(), "{\"from\":\"a\",\"i\":" + std::to_string(i) + "}");
+    EXPECT_EQ(b.fetch(key)->dump(), "{\"from\":\"bbbb\",\"i\":" + std::to_string(i * 3) + "}");
+  }
+}
+
+TEST(EstimateStoreTest, SpillFilesLeaveNothingInTheCacheDirectory) {
+  TempDir dir;
+  {
+    EstimateStore s(dir.path);
+    EstimateStore other(dir.path);
+    s.record("{\"k\":1}", json::parse("{\"v\":1}"));
+    other.record("{\"k\":2}", json::parse("{\"v\":2}"));
+    EXPECT_TRUE(directory_entries(dir.path).empty());  // spill files have no name
+    EXPECT_TRUE(s.persist());
+  }
+  EXPECT_EQ(directory_entries(dir.path), std::vector<std::string>{store::kStoreFileName});
+}
+
+TEST(EstimateStoreTest, ConcurrentRecordFetchAndPersistOnOneStore) {
+  // Writers append while a persister reads spilled values back outside the
+  // data lock; every snapshot must be complete and every value intact.
+  TempDir dir;
+  EstimateStore s(dir.path);
+  auto value_of = [](int w, int i) {
+    return "{\"w\":" + std::to_string(w) + ",\"v\":\"" + std::string(40 + i, 'x') + "\"}";
+  };
+  std::atomic<bool> writing{true};
+  std::thread persister([&] {
+    while (writing.load()) s.persist();
+  });
+  std::vector<std::thread> writers;
+  for (int w = 0; w < 3; ++w) {
+    writers.emplace_back([&, w] {
+      for (int i = 0; i < 60; ++i) {
+        const std::string key = "{\"w\":" + std::to_string(w) + ",\"i\":" + std::to_string(i) + "}";
+        s.record(key, json::parse(value_of(w, i)));
+        auto back = s.fetch(key);
+        ASSERT_TRUE(back.has_value());
+        EXPECT_EQ(back->dump(), value_of(w, i));
+      }
+    });
+  }
+  for (std::thread& t : writers) t.join();
+  writing.store(false);
+  persister.join();
+  EXPECT_TRUE(s.persist(/*force=*/true));
+
+  StoreReader reader(s.path());
+  EXPECT_EQ(reader.record_count(), 180u);
+  std::size_t intact = 0;
+  EXPECT_EQ(reader.for_each([&](std::string_view, std::string_view) { ++intact; }), 0u);
+  EXPECT_EQ(intact, 180u);
+}
+
+/// Result-shaped records whose values carry doubles, so the JSON number
+/// writer is part of the bytes the test pins.
+std::vector<std::pair<std::string, json::Value>> result_documents(int n) {
+  std::vector<std::pair<std::string, json::Value>> docs;
+  for (int i = 0; i < n; ++i) {
+    const double budget = 1e-4 * std::pow(10.0, i / 16.0);
+    json::Object result;
+    result.emplace_back("errorBudget", json::Value(budget));
+    result.emplace_back("physicalQubits", json::Value(std::int64_t{1000} * (i + 1)));
+    result.emplace_back("runtimeNs", json::Value(1.0 / (i + 3) * 1e9));
+    result.emplace_back("rqops", json::Value(std::ldexp(1.0, -1017 + i)));
+    json::Object key;
+    key.emplace_back("errorBudget", json::Value(budget));
+    key.emplace_back("profile", json::Value("qubit_gate_ns_e" + std::to_string(3 + i % 2)));
+    docs.emplace_back(json::Value(std::move(key)).dump(), json::Value(std::move(result)));
+  }
+  return docs;
+}
+
+TEST(EstimateStoreTest, PersistedFileIsTheUnchangedFormatByteForByte) {
+  TempDir dir;
+  const auto docs = result_documents(48);
+  std::vector<Record> expected;
+  {
+    EstimateStore s(dir.path);
+    for (const auto& [key, result] : docs) {
+      s.record(key, result);
+      expected.push_back({key, result.dump()});
+    }
+    ASSERT_TRUE(s.persist());
+  }
+  std::ifstream in(dir.path + "/" + store::kStoreFileName, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  EXPECT_EQ(bytes, store::encode_store(expected));
+  // Pinned from the in-memory store that kept values on the heap: same
+  // records, same encoder, same number writer, same bytes.
+  EXPECT_EQ(bytes.size(), kParentImageSize);
+  EXPECT_EQ(store::crc32(bytes), kParentImageCrc);
 }
 
 // ------------------------------------------------- engine integration ---
