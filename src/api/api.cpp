@@ -4,7 +4,6 @@
 
 #include "api/frontier.hpp"
 #include "common/cancel.hpp"
-#include "common/error.hpp"
 #include "common/trace.hpp"
 #include "report/report.hpp"
 #include "service/batch_kernel.hpp"
@@ -14,62 +13,20 @@ namespace qre::api {
 
 namespace {
 
-std::string join_names(const std::vector<std::string>& names) {
-  std::string out;
-  for (const std::string& n : names) {
-    if (!out.empty()) out += ", ";
-    out += n;
+/// Estimates a document read_job accepted: the report object, or
+/// {"frontier": [...]} for the fixed-grid estimateType "frontier".
+json::Value estimate_document(const json::Value& doc, const EstimationInput& input) {
+  const json::Value* type = doc.find("estimateType");
+  if (type == nullptr || type->as_string() != "frontier") {
+    return report_to_json(estimate(input));
   }
-  return out;
-}
-
-/// Registry-aware counterpart of QubitParams::from_json: a "name" matching
-/// a registered profile (builtin or pack-loaded) becomes the override base;
-/// everything else — custom models, field overrides, key checking — is the
-/// module parser's single implementation.
-QubitParams parse_qubit(const json::Value& v, const Registry& registry, Diagnostics* diags) {
-  if (const json::Value* name = v.find("name")) {
-    if (const QubitParams* found = registry.find_qubit(name->as_string())) {
-      check_known_keys(v, QubitParams::json_keys(), "/qubitParams", diags);
-      QubitParams q = *found;
-      q.apply_json_overrides(v);
-      return q;
-    }
-    if (v.find("instructionSet") == nullptr) {
-      throw_error("unknown qubit profile '" + name->as_string() +
-                  "'; registered profiles: " + join_names(registry.qubit_names()));
-    }
+  json::Array points;
+  for (const ResourceEstimate& e : estimate_frontier(input)) {
+    points.push_back(report_to_json(e));
   }
-  return QubitParams::from_json(v, diags);  // custom model
-}
-
-/// Registry-aware counterpart of QecScheme::from_json.
-QecScheme parse_qec(const json::Value& v, InstructionSet set, const Registry& registry,
-                    Diagnostics* diags) {
-  if (const json::Value* name = v.find("name")) {
-    const QecScheme* found = registry.find_qec(name->as_string(), set);
-    if (found == nullptr) {
-      throw_error("unknown QEC scheme '" + name->as_string() + "' for " +
-                  std::string(to_string(set)) +
-                  " hardware; registered schemes: " + join_names(registry.qec_names()));
-    }
-    check_known_keys(v, QecScheme::json_keys(), "/qecScheme", diags);
-    return QecScheme::customize(*found, v);
-  }
-  return QecScheme::from_json(v, set, diags);  // default scheme + overrides
-}
-
-DistillationUnit parse_unit(const json::Value& v, const std::string& base_path,
-                            const Registry& registry, Diagnostics* diags) {
-  if (v.is_object() && v.as_object().size() == 1) {
-    if (const json::Value* name = v.find("name")) {
-      const DistillationUnit* found = registry.find_distillation(name->as_string());
-      QRE_REQUIRE(found != nullptr, "unknown distillation unit template '" +
-                                        name->as_string() + "'");
-      return *found;
-    }
-  }
-  return DistillationUnit::from_json(v, diags, base_path);
+  json::Object out;
+  out.emplace_back("frontier", json::Value(std::move(points)));
+  return json::Value(std::move(out));
 }
 
 json::Value item_error(const char* code, const std::string& message,
@@ -124,64 +81,16 @@ json::Value EstimateResponse::to_json() const {
 
 EstimationInput input_from_document(const json::Value& doc, const Registry& registry,
                                     Diagnostics* diags) {
-  QRE_REQUIRE(doc.is_object(), "estimation job must be a JSON object");
-  check_known_keys(doc, job_keys(), "", diags);
-  EstimationInput input;
-  input.counts = LogicalCounts::from_json(doc.at("logicalCounts"), diags);
-  if (const json::Value* qubit = doc.find("qubitParams")) {
-    input.qubit = parse_qubit(*qubit, registry, diags);
-  }
-  // The registry's entry for the default scheme wins (a pack may re-tune
-  // it); QecScheme::default_for stays the single source of the name table.
-  input.qec = QecScheme::default_for(input.qubit.instruction_set);
-  if (const QecScheme* scheme =
-          registry.find_qec(input.qec.name(), input.qubit.instruction_set)) {
-    input.qec = *scheme;
-  }
-  if (const json::Value* qec = doc.find("qecScheme")) {
-    input.qec = parse_qec(*qec, input.qubit.instruction_set, registry, diags);
-  }
-  if (const json::Value* budget = doc.find("errorBudget")) {
-    input.budget = ErrorBudget::from_json(*budget, diags);
-  }
-  if (const json::Value* constraints = doc.find("constraints")) {
-    input.constraints = Constraints::from_json(*constraints, diags);
-  }
-  if (const json::Value* units = doc.find("distillationUnitSpecifications")) {
-    input.distillation_units.clear();
-    const json::Array& unit_array = units->as_array();
-    for (std::size_t i = 0; i < unit_array.size(); ++i) {
-      input.distillation_units.push_back(parse_unit(
-          unit_array[i], pointer_join("/distillationUnitSpecifications", i), registry,
-          diags));
-    }
-    QRE_REQUIRE(!input.distillation_units.empty(),
-                "distillationUnitSpecifications must not be empty");
-  }
+  if (diags == nullptr) return read_job(doc, registry, nullptr);
+  const std::size_t errors_before = diags->num_errors();
+  EstimationInput input = read_job(doc, registry, diags);
+  if (diags->num_errors() > errors_before) throw ValidationError(*diags);
   return input;
 }
 
 json::Value run_single_document(const json::Value& doc, const Registry& registry,
                                 Diagnostics* diags) {
-  EstimationInput input = input_from_document(doc, registry, diags);
-  std::string estimate_type = "singlePoint";
-  if (const json::Value* type = doc.find("estimateType")) {
-    estimate_type = type->as_string();
-  }
-  if (estimate_type == "singlePoint") {
-    return report_to_json(estimate(input));
-  }
-  if (estimate_type == "frontier") {
-    json::Array points;
-    for (const ResourceEstimate& e : estimate_frontier(input)) {
-      points.push_back(report_to_json(e));
-    }
-    json::Object out;
-    out.emplace_back("frontier", json::Value(std::move(points)));
-    return json::Value(std::move(out));
-  }
-  throw_error("unknown estimateType '" + estimate_type +
-              "' (expected singlePoint or frontier)");
+  return estimate_document(doc, input_from_document(doc, registry, diags));
 }
 
 EstimateResponse run(const EstimateRequest& request, const service::EngineOptions& options,
@@ -236,18 +145,17 @@ EstimateResponse run(const EstimateRequest& request, const service::EngineOption
         }
       }
       auto runner = [&registry](const json::Value& item) -> json::Value {
-        // Per-item isolation: a merged item is validated as a complete
-        // single job of its own, so an invalid item degrades to a
-        // structured "invalid-item" entry (with its full diagnostic list,
-        // paths relative to the item document) instead of aborting the
-        // batch. Runtime failures are isolated by the engine.
+        // Per-item isolation: a merged item is read as a complete single
+        // job of its own, so an invalid item degrades to a structured
+        // "invalid-item" entry (with its full diagnostic list, paths
+        // relative to the item document) instead of aborting the batch.
+        // Runtime failures are isolated by the engine.
         Diagnostics item_diags;
-        validate_job(item, registry, item_diags);
+        const EstimationInput input = read_job(item, registry, &item_diags);
         if (item_diags.has_errors()) {
           return item_error("invalid-item", item_diags.summary(), &item_diags);
         }
-        Diagnostics sink;  // tolerate unknown keys; validation warned above
-        return run_single_document(item, registry, &sink);
+        return estimate_document(item, input);
       };
       service::BatchStats stats;
       json::Array results;

@@ -58,9 +58,10 @@ struct EstimateResponse {
 };
 
 /// Builds the estimator input from a (single, non-batch) job document,
-/// resolving qubit/QEC/distillation names through `registry`. With a
-/// diagnostics sink, unknown keys are tolerated as warnings; without one
-/// they throw, as do all hard errors (qre::Error).
+/// resolving qubit/QEC/distillation names through `registry` (read_job).
+/// With a diagnostics sink every problem is recorded there, unknown keys
+/// as warnings, and any error then throws ValidationError carrying the
+/// sink's diagnostics; without a sink a bad document throws qre::Error.
 EstimationInput input_from_document(const json::Value& doc, const Registry& registry,
                                     Diagnostics* diags = nullptr);
 

@@ -27,59 +27,24 @@
 // with the points sorted by (errorBudget, runtime) ascending and every
 // entry non-dominated over (physical qubits, runtime, error budget).
 //
-// FrontierRequest/FrontierResponse are the typed façade; api::run()
-// dispatches frontier documents through the same machinery, so qre_cli,
-// POST /v2/estimate, and the async job queue all accept the job kind
-// without special-casing.
+// api::run() dispatches frontier documents to run_frontier_document, so
+// qre_cli, POST /v2/estimate, and the async job queue all accept the job
+// kind without special-casing.
 #pragma once
 
 #include "api/registry.hpp"
-#include "api/schema.hpp"
-#include "common/diagnostics.hpp"
 #include "frontier/explorer.hpp"
 #include "json/json.hpp"
 #include "service/engine.hpp"
 
 namespace qre::api {
 
-/// A parsed, validated frontier job (normalized to schema v2). parse()
-/// requires the "frontier" section to be present.
-struct FrontierRequest {
-  json::Value document;  // normalized v2 document, "frontier" section included
-  frontier::ExploreOptions options;  // parsed from the section
-  int source_version = kSchemaVersion;
-  Diagnostics diagnostics;
-
-  bool ok() const { return !diagnostics.has_errors(); }
-
-  /// Upgrades, normalizes, and validates `job` as a frontier job. Never
-  /// throws: problems are collected on the returned request's diagnostics.
-  static FrontierRequest parse(const json::Value& job,
-                               const Registry& registry = Registry::global());
-};
-
-/// The outcome of running a frontier request; same envelope shape as
-/// EstimateResponse.
-struct FrontierResponse {
-  bool success = false;
-  json::Value result;  // {"frontier": [...], "frontierStats": {...}}
-  Diagnostics diagnostics;
-
-  /// {"schemaVersion": 2, "success": ..., "diagnostics": [...], "result": ...}.
-  json::Value to_json() const;
-};
-
-/// Executes a frontier request on the explorer. Probes run through
-/// `options`' engine configuration (worker pool + shared cache), and
-/// `options.on_result`, when set, observes each probe record in
-/// deterministic probe order (the NDJSON streaming hook). Never throws.
-FrontierResponse run_frontier(const FrontierRequest& request,
-                              const service::EngineOptions& options = {},
-                              const Registry& registry = Registry::global());
-
-/// The document-level core shared by run_frontier and api::run: parses the
-/// validated job's "frontier" section and explores. Throws qre::Error when
-/// exploration fails outright (every probe infeasible).
+/// The frontier job runner behind api::run: parses the validated job's
+/// "frontier" section and explores. Probes run through `options`' engine
+/// configuration (worker pool + shared cache), and `options.on_result`,
+/// when set, observes each probe record in deterministic probe order (the
+/// NDJSON streaming hook). Throws qre::Error when exploration fails
+/// outright (every probe infeasible).
 json::Value run_frontier_document(const json::Value& doc, const Registry& registry,
                                   const service::EngineOptions& options,
                                   frontier::ExploreStats* stats = nullptr);

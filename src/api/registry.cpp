@@ -3,11 +3,11 @@
 #include <algorithm>
 
 #include "common/error.hpp"
+#include "common/field_reader.hpp"
 
 namespace qre::api {
 
 namespace {
-
 
 std::vector<std::string_view> keys_plus(const std::vector<std::string_view>& base,
                                         std::initializer_list<std::string_view> extra) {
@@ -20,15 +20,8 @@ std::vector<std::string_view> keys_plus(const std::vector<std::string_view>& bas
 
 Registry Registry::with_builtins() {
   Registry r;
-  r.register_qubit(QubitParams::gate_ns_e3());
-  r.register_qubit(QubitParams::gate_ns_e4());
-  r.register_qubit(QubitParams::gate_us_e3());
-  r.register_qubit(QubitParams::gate_us_e4());
-  r.register_qubit(QubitParams::maj_ns_e4());
-  r.register_qubit(QubitParams::maj_ns_e6());
-  r.register_qec(InstructionSet::kGateBased, QecScheme::surface_code_gate_based());
-  r.register_qec(InstructionSet::kMajorana, QecScheme::surface_code_majorana());
-  r.register_qec(InstructionSet::kMajorana, QecScheme::floquet_code());
+  for (const QubitParams& q : QubitParams::presets()) r.register_qubit(q);
+  for (const auto& [set, scheme] : QecScheme::presets()) r.register_qec(set, scheme);
   for (DistillationUnit& u : DistillationUnit::default_units()) {
     r.register_distillation(std::move(u));
   }
@@ -175,6 +168,8 @@ void Registry::load_profile_pack(const json::Value& pack, Diagnostics& diags) {
     }
   }
 
+  // Each entry is read by its section's reader, so a bad field is reported
+  // at its own path; an entry with any error is skipped.
   if (const json::Value* profiles = pack.find("qubitParams")) {
     if (!profiles->is_array()) {
       diags.error("type-mismatch", "/qubitParams", "qubitParams must be an array");
@@ -183,40 +178,42 @@ void Registry::load_profile_pack(const json::Value& pack, Diagnostics& diags) {
           keys_plus(QubitParams::json_keys(), {"base"});
       for (std::size_t i = 0; i < profiles->as_array().size(); ++i) {
         const json::Value& entry = profiles->as_array()[i];
-        const std::string path = pointer_join("/qubitParams", i);
-        if (!entry.is_object()) {
-          diags.error("type-mismatch", path, "qubit profile entry must be an object");
-          continue;
-        }
-        check_known_keys(entry, allowed, path, &diags);
+        FieldReader in(entry, pointer_join("/qubitParams", i), &diags);
+        if (!in.expect_object("qubit profile entry must be an object")) continue;
+        in.check_keys(allowed);
         const json::Value* name = entry.find("name");
         if (name == nullptr || !name->is_string()) {
-          diags.error("required-missing", pointer_join(path, "name"),
-                      "qubit profile entry needs a string 'name'");
+          in.error("required-missing", "name", "qubit profile entry needs a string 'name'");
           continue;
         }
-        try {
-          QubitParams q;
-          if (const json::Value* base = entry.find("base")) {
-            const QubitParams* found = find_qubit_locked(base->as_string());
-            if (found == nullptr) {
-              diags.error("unknown-name", pointer_join(path, "base"),
-                          "unknown base qubit profile '" + base->as_string() + "'");
-              continue;
-            }
-            q = *found;
-          } else if (const QubitParams* existing = find_qubit_locked(name->as_string())) {
-            q = *existing;  // re-tuning an already-registered profile
-          } else if (entry.find("instructionSet") == nullptr) {
-            diags.error("required-missing", pointer_join(path, "instructionSet"),
-                        "new qubit profile needs 'instructionSet' or 'base'");
+        QubitParams q;
+        bool custom = false;
+        if (entry.find("base") != nullptr) {
+          const json::Value* base = in.get("base", JsonKind::kString);
+          if (base == nullptr) continue;
+          const QubitParams* found = find_qubit_locked(base->as_string());
+          if (found == nullptr) {
+            in.error("unknown-name", "base",
+                     "unknown base qubit profile '" + base->as_string() + "'");
             continue;
           }
-          q.name = name->as_string();
-          q.apply_json_overrides(entry);
+          q = *found;
+        } else if (const QubitParams* existing = find_qubit_locked(name->as_string())) {
+          q = *existing;  // re-tuning an already-registered profile
+        } else if (entry.find("instructionSet") == nullptr) {
+          in.error("required-missing", "instructionSet",
+                   "new qubit profile needs 'instructionSet' or 'base'");
+          continue;
+        } else {
+          custom = true;
+        }
+        q.name = name->as_string();
+        q.read_fields(in, custom);
+        if (!in.ok()) continue;
+        try {
           register_qubit_locked(std::move(q));
-        } catch (const Error& e) {
-          diags.error("value-range", path, e.what());
+        } catch (const Error& e) {  // registration's own checks (an empty name)
+          in.error("value-range", "", e.what());
         }
       }
     }
@@ -230,43 +227,41 @@ void Registry::load_profile_pack(const json::Value& pack, Diagnostics& diags) {
           keys_plus(QecScheme::json_keys(), {"base", "instructionSet"});
       for (std::size_t i = 0; i < schemes->as_array().size(); ++i) {
         const json::Value& entry = schemes->as_array()[i];
-        const std::string path = pointer_join("/qecSchemes", i);
-        if (!entry.is_object()) {
-          diags.error("type-mismatch", path, "QEC scheme entry must be an object");
-          continue;
-        }
-        check_known_keys(entry, allowed, path, &diags);
+        FieldReader in(entry, pointer_join("/qecSchemes", i), &diags);
+        if (!in.expect_object("QEC scheme entry must be an object")) continue;
+        in.check_keys(allowed);
         const json::Value* name = entry.find("name");
         if (name == nullptr || !name->is_string()) {
-          diags.error("required-missing", pointer_join(path, "name"),
-                      "QEC scheme entry needs a string 'name'");
+          in.error("required-missing", "name", "QEC scheme entry needs a string 'name'");
           continue;
         }
         const json::Value* set_field = entry.find("instructionSet");
         InstructionSet set = InstructionSet::kGateBased;
         if (set_field == nullptr || !set_field->is_string() ||
             !try_parse_instruction_set(set_field->as_string(), set)) {
-          diags.error("required-missing", pointer_join(path, "instructionSet"),
-                      "QEC scheme entry needs instructionSet GateBased or Majorana");
+          in.error("required-missing", "instructionSet",
+                   "QEC scheme entry needs instructionSet GateBased or Majorana");
           continue;
         }
-        try {
-          QecScheme base = QecScheme::default_for(set);
-          if (const json::Value* base_field = entry.find("base")) {
-            const QecScheme* found = find_qec_locked(base_field->as_string(), set);
-            if (found == nullptr) {
-              diags.error("unknown-name", pointer_join(path, "base"),
-                          "unknown base QEC scheme '" + base_field->as_string() + "'");
-              continue;
-            }
-            base = *found;
-          } else if (const QecScheme* existing = find_qec_locked(name->as_string(), set)) {
-            base = *existing;
+        const QecScheme* base = find_qec_locked(name->as_string(), set);
+        if (entry.find("base") != nullptr) {
+          const json::Value* base_name = in.get("base", JsonKind::kString);
+          if (base_name == nullptr) continue;
+          base = find_qec_locked(base_name->as_string(), set);
+          if (base == nullptr) {
+            in.error("unknown-name", "base",
+                     "unknown base QEC scheme '" + base_name->as_string() + "'");
+            continue;
           }
-          register_qec_locked(set, QecScheme::customize(std::move(base), entry)
-                                .with_name(name->as_string()));
+        }
+        QecScheme scheme =
+            QecScheme::read_overrides(base != nullptr ? *base : QecScheme::default_for(set), in)
+                .with_name(name->as_string());
+        if (!in.ok()) continue;
+        try {
+          register_qec_locked(set, std::move(scheme));
         } catch (const Error& e) {
-          diags.error("value-range", path, e.what());
+          in.error("value-range", "", e.what());
         }
       }
     }
@@ -277,12 +272,13 @@ void Registry::load_profile_pack(const json::Value& pack, Diagnostics& diags) {
       diags.error("type-mismatch", "/distillationUnits", "distillationUnits must be an array");
     } else {
       for (std::size_t i = 0; i < units->as_array().size(); ++i) {
-        const std::string path = pointer_join("/distillationUnits", i);
+        FieldReader in(units->as_array()[i], pointer_join("/distillationUnits", i), &diags);
+        DistillationUnit unit = DistillationUnit::read(in);
+        if (!in.ok()) continue;
         try {
-          register_distillation_locked(
-              DistillationUnit::from_json(units->as_array()[i], &diags, path));
+          register_distillation_locked(std::move(unit));
         } catch (const Error& e) {
-          diags.error("value-range", path, e.what());
+          in.error("value-range", "", e.what());
         }
       }
     }

@@ -24,9 +24,9 @@
 //   }
 //
 // Registration is by name with last-wins override semantics, so a pack can
-// also re-tune a built-in preset. All name lookups of the job-parsing layer
-// (api::input_from_document and the schema validator) resolve against a
-// registry rather than against hard-coded preset tables, which is what makes
+// also re-tune a built-in preset. All name lookups of the job reader
+// (api::read_job) resolve against a registry rather than against
+// hard-coded preset tables, which is what makes
 // the service extensible without recompiling.
 //
 // Thread safety (audited for the estimation server, which hits one shared

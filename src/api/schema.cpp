@@ -1,14 +1,10 @@
 #include "api/schema.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <string>
 
 #include "common/error.hpp"
-#include "core/error_budget.hpp"
-#include "core/estimator.hpp"
-#include "counter/logical_counts.hpp"
-#include "formula/formula.hpp"
+#include "common/field_reader.hpp"
 #include "frontier/explorer.hpp"
 #include "service/sweep.hpp"
 
@@ -16,446 +12,186 @@ namespace qre::api {
 
 namespace {
 
-enum class Kind { kNumber, kUint, kString, kObject, kArray };
-
-const char* kind_name(Kind k) {
-  switch (k) {
-    case Kind::kNumber: return "a number";
-    case Kind::kUint: return "a non-negative integer";
-    case Kind::kString: return "a string";
-    case Kind::kObject: return "an object";
-    case Kind::kArray: return "an array";
-  }
-  return "?";
-}
-
-bool matches_kind(const json::Value& v, Kind k) {
-  switch (k) {
-    case Kind::kNumber: return v.is_number();
-    case Kind::kUint:
-      return v.is_number() && v.as_double() >= 0.0 &&
-             v.as_double() == std::floor(v.as_double());
-    case Kind::kString: return v.is_string();
-    case Kind::kObject: return v.is_object();
-    case Kind::kArray: return v.is_array();
-  }
-  return false;
-}
-
-/// Looks up `key` in `obj` and type-checks it. Present-but-wrong-type yields
-/// a "type-mismatch" diagnostic, absent-but-required a "required-missing"
-/// one; both return nullptr so callers can keep validating other fields.
-const json::Value* expect(const json::Value& obj, std::string_view key, Kind kind,
-                          const std::string& base, Diagnostics& diags,
-                          bool required = false) {
-  const json::Value* field = obj.find(key);
-  if (field == nullptr) {
-    if (required) {
-      diags.error("required-missing", pointer_join(base, key),
-                  "required field '" + std::string(key) + "' is missing");
-    }
-    return nullptr;
-  }
-  if (!matches_kind(*field, kind)) {
-    diags.error("type-mismatch", pointer_join(base, key),
-                "'" + std::string(key) + "' must be " + kind_name(kind));
-    return nullptr;
-  }
-  return field;
-}
-
-void check_positive_number(const json::Value& v, std::string_view key,
-                           const std::string& base, Diagnostics& diags) {
-  if (v.as_double() <= 0.0) {
-    diags.error("value-range", pointer_join(base, key),
-                "'" + std::string(key) + "' must be positive");
-  }
-}
-
-void check_probability(const json::Value& v, std::string_view key, const std::string& base,
-                       Diagnostics& diags) {
-  if (!(v.as_double() > 0.0 && v.as_double() < 1.0)) {
-    diags.error("value-range", pointer_join(base, key),
-                "'" + std::string(key) + "' must be in (0, 1)");
-  }
-}
-
-void check_formula(const json::Value& v, std::string_view key, const std::string& base,
-                   Diagnostics& diags) {
-  try {
-    Formula::parse(v.as_string());
-  } catch (const Error& e) {
-    diags.error("invalid-formula", pointer_join(base, key), e.what());
-  }
-}
-
-/// The instruction set a document's qubitParams section resolves to, used
-/// to pick the QEC scheme namespace. Falls back to gate-based (the default
-/// profile) when the section is absent or too broken to tell.
-InstructionSet resolve_instruction_set(const json::Value& doc, const Registry& registry) {
-  InstructionSet set = InstructionSet::kGateBased;
-  const json::Value* qubit = doc.find("qubitParams");
-  if (qubit == nullptr || !qubit->is_object()) return set;
-  if (const json::Value* name = qubit->find("name")) {
-    if (name->is_string()) {
-      if (const QubitParams* profile = registry.find_qubit(name->as_string())) {
-        set = profile->instruction_set;
-      }
-    }
-  }
-  if (const json::Value* is = qubit->find("instructionSet")) {
-    if (is->is_string()) try_parse_instruction_set(is->as_string(), set);
-  }
-  return set;
-}
-
-void validate_counts(const json::Value& v, const std::string& base, Diagnostics& diags) {
-  if (!v.is_object()) {
-    diags.error("type-mismatch", base, "logicalCounts must be an object");
-    return;
-  }
-  check_known_keys(v, LogicalCounts::json_keys(), base, &diags);
-  if (const json::Value* n = expect(v, "numQubits", Kind::kUint, base, diags, true)) {
-    if (n->as_double() <= 0.0) {
-      diags.error("value-range", pointer_join(base, "numQubits"),
-                  "'numQubits' must be positive");
-    }
-  }
-  for (std::string_view key : {"tCount", "rotationCount", "rotationDepth", "cczCount",
-                               "ccixCount", "measurementCount", "cliffordCount"}) {
-    expect(v, key, Kind::kUint, base, diags);
-  }
-  const json::Value* rc = v.find("rotationCount");
-  const json::Value* rd = v.find("rotationDepth");
-  const double rotations = rc != nullptr && matches_kind(*rc, Kind::kUint) ? rc->as_double() : 0.0;
-  const double depth = rd != nullptr && matches_kind(*rd, Kind::kUint) ? rd->as_double() : 0.0;
-  if (depth > rotations) {
-    diags.error("value-range", pointer_join(base, "rotationDepth"),
-                "'rotationDepth' cannot exceed 'rotationCount'");
-  } else if (rotations > 0.0 && depth == 0.0) {
-    diags.error("value-range", pointer_join(base, "rotationDepth"),
-                "'rotationDepth' must be positive when rotations are present");
-  }
-}
-
-void validate_qubit(const json::Value& v, const std::string& base, const Registry& registry,
-                    Diagnostics& diags) {
-  if (!v.is_object()) {
-    diags.error("type-mismatch", base, "qubitParams must be an object");
-    return;
-  }
-  check_known_keys(v, QubitParams::json_keys(), base, &diags);
-
-  const QubitParams* profile = nullptr;
-  if (const json::Value* name = expect(v, "name", Kind::kString, base, diags)) {
-    profile = registry.find_qubit(name->as_string());
-  }
-  bool set_known = profile != nullptr;
-  InstructionSet set =
-      profile != nullptr ? profile->instruction_set : InstructionSet::kGateBased;
-  if (const json::Value* is = expect(v, "instructionSet", Kind::kString, base, diags)) {
-    if (try_parse_instruction_set(is->as_string(), set)) {
-      set_known = true;
-    } else {
-      diags.error("invalid-value", pointer_join(base, "instructionSet"),
-                  "unknown instructionSet '" + is->as_string() +
-                      "' (expected GateBased or Majorana)");
-      set_known = false;
-    }
-  }
-  if (profile == nullptr) {
-    const json::Value* name = v.find("name");
-    if (v.find("instructionSet") == nullptr) {
-      diags.error("unknown-name", pointer_join(base, "name"),
-                  name != nullptr && name->is_string()
-                      ? "unknown qubit profile '" + name->as_string() +
-                            "' and no 'instructionSet' to build a custom model"
-                      : "custom qubit model requires 'instructionSet'");
-    } else if (set_known) {
-      // A fully custom model: the per-instruction-set fields are required.
-      const std::vector<std::string_view> required =
-          set == InstructionSet::kGateBased
-              ? std::vector<std::string_view>{"oneQubitMeasurementTime", "oneQubitGateTime",
-                                              "twoQubitGateTime", "tGateTime",
-                                              "oneQubitMeasurementErrorRate",
-                                              "oneQubitGateErrorRate", "twoQubitGateErrorRate",
-                                              "tGateErrorRate", "idleErrorRate"}
-              : std::vector<std::string_view>{"oneQubitMeasurementTime",
-                                              "twoQubitJointMeasurementTime", "tGateTime",
-                                              "oneQubitMeasurementErrorRate",
-                                              "twoQubitJointMeasurementErrorRate",
-                                              "tGateErrorRate", "idleErrorRate"};
-      for (std::string_view key : required) expect(v, key, Kind::kNumber, base, diags, true);
-    }
-  }
-  for (std::string_view key :
-       {"oneQubitMeasurementTime", "oneQubitGateTime", "twoQubitGateTime",
-        "twoQubitJointMeasurementTime", "tGateTime"}) {
-    if (const json::Value* f = expect(v, key, Kind::kNumber, base, diags)) {
-      check_positive_number(*f, key, base, diags);
-    }
-  }
-  for (std::string_view key :
-       {"oneQubitMeasurementErrorRate", "oneQubitGateErrorRate", "twoQubitGateErrorRate",
-        "twoQubitJointMeasurementErrorRate", "tGateErrorRate", "idleErrorRate"}) {
-    if (const json::Value* f = expect(v, key, Kind::kNumber, base, diags)) {
-      check_probability(*f, key, base, diags);
-    }
-  }
-}
-
-void validate_qec(const json::Value& v, const std::string& base, InstructionSet set,
-                  const Registry& registry, Diagnostics& diags) {
-  if (!v.is_object()) {
-    diags.error("type-mismatch", base, "qecScheme must be an object");
-    return;
-  }
-  check_known_keys(v, QecScheme::json_keys(), base, &diags);
-  if (const json::Value* name = expect(v, "name", Kind::kString, base, diags)) {
-    if (registry.find_qec(name->as_string(), set) == nullptr) {
-      diags.error("unknown-name", pointer_join(base, "name"),
-                  "unknown QEC scheme '" + name->as_string() + "' for " +
-                      std::string(to_string(set)) + " hardware");
-    }
-  }
-  if (const json::Value* t = expect(v, "errorCorrectionThreshold", Kind::kNumber, base, diags)) {
-    check_probability(*t, "errorCorrectionThreshold", base, diags);
-  }
-  if (const json::Value* a = expect(v, "crossingPrefactor", Kind::kNumber, base, diags)) {
-    check_positive_number(*a, "crossingPrefactor", base, diags);
-  }
-  for (std::string_view key : {"logicalCycleTime", "physicalQubitsPerLogicalQubit"}) {
-    if (const json::Value* f = expect(v, key, Kind::kString, base, diags)) {
-      check_formula(*f, key, base, diags);
-    }
-  }
-  if (const json::Value* m = expect(v, "maxCodeDistance", Kind::kUint, base, diags)) {
-    if (m->as_double() < 1.0) {
-      diags.error("value-range", pointer_join(base, "maxCodeDistance"),
-                  "'maxCodeDistance' must be >= 1");
-    }
-  }
-}
-
-void validate_budget(const json::Value& v, const std::string& base, Diagnostics& diags) {
-  if (v.is_number()) {
-    if (!(v.as_double() > 0.0 && v.as_double() < 1.0)) {
-      diags.error("value-range", base, "error budget must be in (0, 1)");
-    }
-    return;
-  }
-  if (!v.is_object()) {
-    diags.error("type-mismatch", base, "errorBudget must be a number or an object");
-    return;
-  }
-  check_known_keys(v, ErrorBudget::json_keys(), base, &diags);
-  if (v.find("total") != nullptr) {
-    if (const json::Value* t = expect(v, "total", Kind::kNumber, base, diags)) {
-      check_probability(*t, "total", base, diags);
-    }
-    return;
-  }
-  const json::Value* logical = expect(v, "logical", Kind::kNumber, base, diags, true);
-  const json::Value* tstates = expect(v, "tstates", Kind::kNumber, base, diags, true);
-  const json::Value* rotations = expect(v, "rotations", Kind::kNumber, base, diags, true);
-  if (logical != nullptr && logical->as_double() <= 0.0) {
-    diags.error("value-range", pointer_join(base, "logical"),
-                "'logical' budget part must be positive");
-  }
-  for (const auto& [field, key] : {std::pair{tstates, std::string_view("tstates")},
-                                   std::pair{rotations, std::string_view("rotations")}}) {
-    if (field != nullptr && field->as_double() < 0.0) {
-      diags.error("value-range", pointer_join(base, key),
-                  "'" + std::string(key) + "' budget part must be non-negative");
-    }
-  }
-  if (logical != nullptr && tstates != nullptr && rotations != nullptr) {
-    const double total = logical->as_double() + tstates->as_double() + rotations->as_double();
-    if (total >= 1.0) {
-      diags.error("value-range", base, "error budget parts must sum below 1");
-    }
-  }
-}
-
-void validate_constraints(const json::Value& v, const std::string& base, Diagnostics& diags) {
-  if (!v.is_object()) {
-    diags.error("type-mismatch", base, "constraints must be an object");
-    return;
-  }
-  check_known_keys(v, Constraints::json_keys(), base, &diags);
-  if (const json::Value* f = expect(v, "logicalDepthFactor", Kind::kNumber, base, diags)) {
-    if (f->as_double() < 1.0) {
-      diags.error("value-range", pointer_join(base, "logicalDepthFactor"),
-                  "'logicalDepthFactor' must be >= 1");
-    }
-  }
-  for (std::string_view key : {"maxTFactories", "maxPhysicalQubits"}) {
-    if (const json::Value* f = expect(v, key, Kind::kUint, base, diags)) {
-      if (f->as_double() < 1.0) {
-        diags.error("value-range", pointer_join(base, key),
-                    "'" + std::string(key) + "' must be >= 1");
-      }
-    }
-  }
-  // numTsPerRotation accepts 0 ("rotations are free"), matching the parser.
-  expect(v, "numTsPerRotation", Kind::kUint, base, diags);
-  if (const json::Value* f = expect(v, "maxDuration", Kind::kNumber, base, diags)) {
-    check_positive_number(*f, "maxDuration", base, diags);
-  }
-}
-
-void validate_units(const json::Value& v, const std::string& base, const Registry& registry,
-                    Diagnostics& diags) {
+/// Reads "distillationUnitSpecifications": full specifications, or
+/// name-only entries referencing a registered template.
+std::vector<DistillationUnit> read_units(FieldReader& in, const Registry& registry) {
+  std::vector<DistillationUnit> units;
+  const json::Value& v = in.value();
   if (!v.is_array()) {
-    diags.error("type-mismatch", base, "distillationUnitSpecifications must be an array");
-    return;
+    in.error("type-mismatch", "", "distillationUnitSpecifications must be an array");
+    return units;
   }
   if (v.as_array().empty()) {
-    diags.error("value-range", base, "distillationUnitSpecifications must not be empty");
-    return;
+    in.error("value-range", "", "distillationUnitSpecifications must not be empty");
+    return units;
   }
   for (std::size_t i = 0; i < v.as_array().size(); ++i) {
     const json::Value& unit = v.as_array()[i];
-    const std::string path = pointer_join(base, i);
-    if (!unit.is_object()) {
-      diags.error("type-mismatch", path, "distillation unit specification must be an object");
-      continue;
-    }
-    // A name-only entry references a registered template.
-    if (unit.as_object().size() == 1 && unit.find("name") != nullptr) {
-      const json::Value* name = expect(unit, "name", Kind::kString, path, diags);
-      if (name != nullptr && registry.find_distillation(name->as_string()) == nullptr) {
-        diags.error("unknown-name", pointer_join(path, "name"),
-                    "unknown distillation unit template '" + name->as_string() + "'");
+    FieldReader unit_in(in, unit, pointer_join(in.path(), i));
+    if (unit.is_object() && unit.as_object().size() == 1 && unit.find("name") != nullptr) {
+      const json::Value* name = unit_in.get("name", JsonKind::kString);
+      const DistillationUnit* found =
+          name != nullptr ? registry.find_distillation(name->as_string()) : nullptr;
+      if (found != nullptr) {
+        units.push_back(*found);
+      } else if (name != nullptr) {
+        unit_in.error("unknown-name", "name",
+                      "unknown distillation unit template '" + name->as_string() + "'");
       }
       continue;
     }
-    check_known_keys(unit, DistillationUnit::json_keys(), path, &diags);
-    expect(unit, "name", Kind::kString, path, diags, true);
-    const json::Value* in = expect(unit, "numInputTs", Kind::kUint, path, diags, true);
-    const json::Value* out = expect(unit, "numOutputTs", Kind::kUint, path, diags, true);
-    if (in != nullptr && out != nullptr &&
-        !(out->as_double() > 0.0 && out->as_double() < in->as_double())) {
-      diags.error("value-range", pointer_join(path, "numOutputTs"),
-                  "a distillation unit must output fewer (but at least one) T states "
-                  "than it consumes");
+    units.push_back(DistillationUnit::read(unit_in));
+  }
+  return units;
+}
+
+bool is_job_kind(std::string_view key) {
+  const std::vector<std::string_view>& kinds = job_kinds();
+  return std::find(kinds.begin(), kinds.end(), key) != kinds.end();
+}
+
+/// The document-level rules of read_job around the section readers, in the
+/// order their diagnostics are reported. Sections are always read (reading
+/// is validating); their values land in `input` when one is given.
+void read_document(FieldReader& in, const Registry& registry, EstimationInput* input) {
+  const json::Value& job = in.value();
+  in.check_keys(job_keys());
+  if (const json::Value* version = job.find("schemaVersion")) {
+    if (!version->is_number() || version->as_double() != static_cast<double>(kSchemaVersion)) {
+      in.error("unsupported-version", "schemaVersion",
+               "expected schemaVersion 2; run v1 documents through the upgrade shim");
     }
-    for (std::string_view key : {"failureProbabilityFormula", "outputErrorRateFormula"}) {
-      if (const json::Value* f = expect(unit, key, Kind::kString, path, diags, true)) {
-        check_formula(*f, key, path, diags);
+  }
+
+  const json::Value* items = job.find("items");
+  const json::Value* sweep = job.find("sweep");
+  const json::Value* type = job.find("estimateType");
+  if (items != nullptr && sweep != nullptr) {
+    in.error("mutually-exclusive", "items", "a job cannot carry both items and sweep");
+  }
+  if (const json::Value* frontier_section = job.find("frontier")) {
+    if (items != nullptr || sweep != nullptr) {
+      in.error("mutually-exclusive", "frontier", "a frontier job cannot carry items or sweep");
+    }
+    if (type != nullptr && type->is_string() && type->as_string() == "frontier") {
+      in.error("mutually-exclusive", "frontier",
+               "the adaptive 'frontier' section replaces the fixed-grid "
+               "estimateType \"frontier\"; use one or the other");
+    }
+    FieldReader section(in, *frontier_section, "/frontier");
+    (void)frontier::ExploreOptions::read(section);
+  }
+
+  // Names resolve against the registry. The QEC scheme is looked up under
+  // the instruction set the qubit model resolved to (the default profile's
+  // when the section is absent).
+  InstructionSet set = InstructionSet::kGateBased;
+  if (const json::Value* counts = job.find("logicalCounts")) {
+    FieldReader section(in, *counts, "/logicalCounts");
+    LogicalCounts value = LogicalCounts::read(section);
+    if (input != nullptr) input->counts = value;
+  }
+  if (const json::Value* qubit = job.find("qubitParams")) {
+    FieldReader section(in, *qubit, "/qubitParams");
+    QubitParams value = QubitParams::read(
+        section, [&registry](std::string_view name) { return registry.find_qubit(name); });
+    set = value.instruction_set;
+    if (input != nullptr) input->qubit = std::move(value);
+  } else if (input != nullptr) {
+    set = input->qubit.instruction_set;
+  }
+  if (const json::Value* qec = job.find("qecScheme")) {
+    FieldReader section(in, *qec, "/qecScheme");
+    QecScheme value = QecScheme::read(section, set, [&registry, set](std::string_view name) {
+      return registry.find_qec(name, set);
+    });
+    if (input != nullptr) input->qec = std::move(value);
+  } else if (input != nullptr) {
+    // The registry's entry for the default scheme wins (a pack may re-tune
+    // it); QecScheme::default_name stays the single source of the name.
+    const QecScheme* scheme = registry.find_qec(QecScheme::default_name(set), set);
+    input->qec = scheme != nullptr ? *scheme : QecScheme::default_for(set);
+  }
+  if (const json::Value* budget = job.find("errorBudget")) {
+    FieldReader section(in, *budget, "/errorBudget");
+    ErrorBudget value = ErrorBudget::read(section);
+    if (input != nullptr) input->budget = value;
+  }
+  if (const json::Value* constraints = job.find("constraints")) {
+    FieldReader section(in, *constraints, "/constraints");
+    Constraints value = Constraints::read(section);
+    if (input != nullptr) input->constraints = value;
+  }
+  if (const json::Value* units = job.find("distillationUnitSpecifications")) {
+    FieldReader section(in, *units, "/distillationUnitSpecifications");
+    std::vector<DistillationUnit> value = read_units(section, registry);
+    if (input != nullptr) input->distillation_units = std::move(value);
+  }
+  if (type != nullptr) {
+    if (!type->is_string()) {
+      in.error("type-mismatch", "estimateType", "estimateType must be a string");
+    } else if (type->as_string() != "singlePoint" && type->as_string() != "frontier") {
+      in.error("invalid-value", "estimateType",
+               "unknown estimateType '" + type->as_string() +
+                   "' (expected singlePoint or frontier)");
+    }
+  }
+
+  bool counts_may_come_later = false;
+  if (sweep != nullptr) {
+    if (!sweep->is_object()) {
+      in.error("type-mismatch", "sweep", "sweep must be an object");
+    } else {
+      try {
+        for (const service::SweepAxis& axis : service::sweep_axes(*sweep)) {
+          if (axis.path == "logicalCounts" || axis.path.rfind("logicalCounts.", 0) == 0) {
+            counts_may_come_later = true;
+          }
+        }
+      } catch (const Error& e) {
+        in.error("invalid-sweep", "sweep", e.what());
       }
     }
-    const json::Value* phys = expect(unit, "physicalQubitSpecification", Kind::kObject, path, diags);
-    const json::Value* log = expect(unit, "logicalQubitSpecification", Kind::kObject, path, diags);
-    if (phys == nullptr && log == nullptr && unit.find("physicalQubitSpecification") == nullptr &&
-        unit.find("logicalQubitSpecification") == nullptr) {
-      diags.error("required-missing", path,
-                  "distillation unit needs a physicalQubitSpecification or "
-                  "logicalQubitSpecification");
-    }
-    if (phys != nullptr) {
-      const std::string spec = pointer_join(path, "physicalQubitSpecification");
-      check_known_keys(*phys, DistillationUnit::physical_spec_keys(), spec, &diags);
-      expect(*phys, "numUnitQubits", Kind::kUint, spec, diags, true);
-      if (const json::Value* f = expect(*phys, "durationFormula", Kind::kString, spec, diags, true)) {
-        check_formula(*f, "durationFormula", spec, diags);
+  }
+  if (items != nullptr) {
+    // Only the batch *structure* is validated here; each item's content is
+    // read individually when the batch runs, so one bad item degrades to a
+    // structured "invalid-item" result entry instead of rejecting the whole
+    // request (the engine's per-item isolation contract).
+    if (!items->is_array()) {
+      in.error("type-mismatch", "items", "items must be an array");
+    } else {
+      for (std::size_t i = 0; i < items->as_array().size(); ++i) {
+        const json::Value& item = items->as_array()[i];
+        FieldReader item_in(in, item, pointer_join("/items", i));
+        if (!item_in.expect_object("batch item must be an object")) continue;
+        item_in.check_keys(job_keys());
+        for (std::string_view kind : job_kinds()) {
+          if (item.find(kind) != nullptr) {
+            item_in.error("mutually-exclusive", "",
+                          "a batch item must not itself carry items, sweep, or frontier");
+            break;
+          }
+        }
       }
     }
-    if (log != nullptr) {
-      const std::string spec = pointer_join(path, "logicalQubitSpecification");
-      check_known_keys(*log, DistillationUnit::logical_spec_keys(), spec, &diags);
-      expect(*log, "numUnitQubits", Kind::kUint, spec, diags, true);
-      expect(*log, "durationInLogicalCycles", Kind::kUint, spec, diags, true);
-    }
+  }
+
+  // A batch or sweep may supply the counts per item, but only when
+  // validating: an estimator input needs them at the top level.
+  const bool counts_elsewhere = input == nullptr && (items != nullptr || counts_may_come_later);
+  if (job.find("logicalCounts") == nullptr && !counts_elsewhere) {
+    in.required_missing("logicalCounts");
   }
 }
 
-void validate_estimate_type(const json::Value& v, const std::string& base, Diagnostics& diags) {
-  if (!v.is_string()) {
-    diags.error("type-mismatch", base, "estimateType must be a string");
-    return;
+void read(const json::Value& job, const Registry& registry, Diagnostics* diags,
+          EstimationInput* input) {
+  FieldReader in(job, "", diags);
+  if (in.expect_object("estimation job must be a JSON object")) {
+    read_document(in, registry, input);
   }
-  if (v.as_string() != "singlePoint" && v.as_string() != "frontier") {
-    diags.error("invalid-value", base,
-                "unknown estimateType '" + v.as_string() +
-                    "' (expected singlePoint or frontier)");
-  }
-}
-
-void validate_frontier(const json::Value& v, const std::string& base, Diagnostics& diags) {
-  if (!v.is_object()) {
-    diags.error("type-mismatch", base, "frontier must be an object");
-    return;
-  }
-  check_known_keys(v, frontier::ExploreOptions::json_keys(), base, &diags);
-  if (const json::Value* p = expect(v, "maxProbes", Kind::kUint, base, diags)) {
-    if (p->as_double() < 2.0) {
-      diags.error("value-range", pointer_join(base, "maxProbes"),
-                  "'maxProbes' must be >= 2 (the frontier needs both bracket probes)");
-    }
-  }
-  for (std::string_view key : {"qubitTolerance", "runtimeTolerance"}) {
-    if (const json::Value* t = expect(v, key, Kind::kNumber, base, diags)) {
-      if (t->as_double() < 0.0) {
-        diags.error("value-range", pointer_join(base, key),
-                    "'" + std::string(key) + "' must be >= 0");
-      }
-    }
-  }
-  if (const json::Value* budgets = expect(v, "errorBudgets", Kind::kArray, base, diags)) {
-    if (budgets->as_array().empty()) {
-      diags.error("value-range", pointer_join(base, "errorBudgets"),
-                  "'errorBudgets' must not be empty");
-    }
-    for (std::size_t i = 0; i < budgets->as_array().size(); ++i) {
-      const json::Value& budget = budgets->as_array()[i];
-      const std::string path = pointer_join(pointer_join(base, "errorBudgets"), i);
-      if (!budget.is_number()) {
-        diags.error("type-mismatch", path, "error budget must be a number");
-      } else if (!(budget.as_double() > 0.0 && budget.as_double() < 1.0)) {
-        diags.error("value-range", path, "error budget must be in (0, 1)");
-      }
-    }
-    // The probe budget must cover at least the bracketing probe of every
-    // requested level, or whole objective levels would be dropped.
-    const json::Value* probes = v.find("maxProbes");
-    const double effective_probes =
-        probes != nullptr && matches_kind(*probes, Kind::kUint)
-            ? probes->as_double()
-            : static_cast<double>(frontier::ExploreOptions{}.max_probes);
-    if (static_cast<double>(budgets->as_array().size()) > effective_probes) {
-      diags.error("value-range", pointer_join(base, "errorBudgets"),
-                  "'errorBudgets' has more levels than 'maxProbes' allows probes");
-    }
-  }
-}
-
-/// Validates the estimation sections `doc` carries (paths are anchored at
-/// the document root; batch items are validated as documents of their own).
-void validate_sections(const json::Value& doc, const Registry& registry,
-                       Diagnostics& diags) {
-  if (const json::Value* counts = doc.find("logicalCounts")) {
-    validate_counts(*counts, "/logicalCounts", diags);
-  }
-  if (const json::Value* qubit = doc.find("qubitParams")) {
-    validate_qubit(*qubit, "/qubitParams", registry, diags);
-  }
-  if (const json::Value* qec = doc.find("qecScheme")) {
-    validate_qec(*qec, "/qecScheme", resolve_instruction_set(doc, registry), registry,
-                 diags);
-  }
-  if (const json::Value* budget = doc.find("errorBudget")) {
-    validate_budget(*budget, "/errorBudget", diags);
-  }
-  if (const json::Value* constraints = doc.find("constraints")) {
-    validate_constraints(*constraints, "/constraints", diags);
-  }
-  if (const json::Value* units = doc.find("distillationUnitSpecifications")) {
-    validate_units(*units, "/distillationUnitSpecifications", registry, diags);
-  }
-  if (const json::Value* type = doc.find("estimateType")) {
-    validate_estimate_type(*type, "/estimateType", diags);
-  }
+  in.finish();
 }
 
 }  // namespace
@@ -476,15 +212,6 @@ const std::vector<std::string_view>& job_kinds() {
   static const std::vector<std::string_view> kKinds = {"items", "sweep", "frontier"};
   return kKinds;
 }
-
-namespace {
-
-bool is_job_kind(std::string_view key) {
-  const std::vector<std::string_view>& kinds = job_kinds();
-  return std::find(kinds.begin(), kinds.end(), key) != kinds.end();
-}
-
-}  // namespace
 
 json::Value upgrade_job(const json::Value& job, Diagnostics& diags, int* source_version) {
   if (source_version != nullptr) *source_version = 1;
@@ -550,88 +277,15 @@ json::Value merge_job_item(const json::Value& base, const json::Value& overlay) 
   return merged;
 }
 
+EstimationInput read_job(const json::Value& job, const Registry& registry,
+                         Diagnostics* diags) {
+  EstimationInput input;
+  read(job, registry, diags, &input);
+  return input;
+}
+
 void validate_job(const json::Value& job, const Registry& registry, Diagnostics& diags) {
-  if (!job.is_object()) {
-    diags.error("type-mismatch", "", "estimation job must be a JSON object");
-    return;
-  }
-  check_known_keys(job, job_keys(), "", &diags);
-  if (const json::Value* version = job.find("schemaVersion")) {
-    if (!version->is_number() || version->as_double() != static_cast<double>(kSchemaVersion)) {
-      diags.error("unsupported-version", "/schemaVersion",
-                  "expected schemaVersion 2; run v1 documents through the upgrade shim");
-    }
-  }
-
-  const json::Value* items = job.find("items");
-  const json::Value* sweep = job.find("sweep");
-  if (items != nullptr && sweep != nullptr) {
-    diags.error("mutually-exclusive", "/items", "a job cannot carry both items and sweep");
-  }
-  if (const json::Value* frontier_section = job.find("frontier")) {
-    if (items != nullptr || sweep != nullptr) {
-      diags.error("mutually-exclusive", "/frontier",
-                  "a frontier job cannot carry items or sweep");
-    }
-    if (const json::Value* type = job.find("estimateType")) {
-      if (type->is_string() && type->as_string() == "frontier") {
-        diags.error("mutually-exclusive", "/frontier",
-                    "the adaptive 'frontier' section replaces the fixed-grid "
-                    "estimateType \"frontier\"; use one or the other");
-      }
-    }
-    validate_frontier(*frontier_section, "/frontier", diags);
-  }
-
-  validate_sections(job, registry, diags);
-
-  bool counts_may_come_later = false;
-  if (sweep != nullptr) {
-    if (!sweep->is_object()) {
-      diags.error("type-mismatch", "/sweep", "sweep must be an object");
-    } else {
-      try {
-        for (const service::SweepAxis& axis : service::sweep_axes(*sweep)) {
-          if (axis.path == "logicalCounts" || axis.path.rfind("logicalCounts.", 0) == 0) {
-            counts_may_come_later = true;
-          }
-        }
-      } catch (const Error& e) {
-        diags.error("invalid-sweep", "/sweep", e.what());
-      }
-    }
-  }
-  if (items != nullptr) {
-    // Only the batch *structure* is validated here; each item's content is
-    // validated individually when the batch runs, so one bad item degrades
-    // to a structured "invalid-item" result entry instead of rejecting the
-    // whole request (the engine's per-item isolation contract).
-    if (!items->is_array()) {
-      diags.error("type-mismatch", "/items", "items must be an array");
-    } else {
-      for (std::size_t i = 0; i < items->as_array().size(); ++i) {
-        const json::Value& item = items->as_array()[i];
-        const std::string path = pointer_join("/items", i);
-        if (!item.is_object()) {
-          diags.error("type-mismatch", path, "batch item must be an object");
-          continue;
-        }
-        check_known_keys(item, job_keys(), path, &diags);
-        for (std::string_view kind : job_kinds()) {
-          if (item.find(kind) != nullptr) {
-            diags.error("mutually-exclusive", path,
-                        "a batch item must not itself carry items, sweep, or frontier");
-            break;
-          }
-        }
-      }
-    }
-  }
-
-  if (job.find("logicalCounts") == nullptr && items == nullptr && !counts_may_come_later) {
-    diags.error("required-missing", "/logicalCounts",
-                "required field 'logicalCounts' is missing");
-  }
+  read(job, registry, &diags, nullptr);
 }
 
 }  // namespace qre::api

@@ -20,7 +20,10 @@
 //  * validation is strict and total — validate_job walks the whole document
 //    and collects every problem as a structured diagnostic with a JSON
 //    pointer path, including "unknown-key" warnings for typos that v1
-//    silently ignored;
+//    silently ignored. Validating IS parsing: read_job checks the
+//    document-level rules here and hands each section to the one reader
+//    that builds it (LogicalCounts::read, QubitParams::read, ...), so a
+//    document the validator accepts is one the estimator can read;
 //  * the version is explicit — documents without "schemaVersion" (or with
 //    schemaVersion 1) are v1 and pass through upgrade_job, a shim that
 //    normalizes them to v2 without changing any estimation semantics, so
@@ -29,6 +32,7 @@
 
 #include "api/registry.hpp"
 #include "common/diagnostics.hpp"
+#include "core/estimator.hpp"
 #include "json/json.hpp"
 
 namespace qre::api {
@@ -52,9 +56,19 @@ const std::vector<std::string_view>& job_kinds();
 /// the version the input declared in `source_version`.
 json::Value upgrade_job(const json::Value& job, Diagnostics& diags, int* source_version);
 
-/// Strict structural validation of a (normalized, v2) job document against
-/// `registry`. Collects ALL problems on `diags` — errors for structural and
-/// range violations, warnings for unknown keys — and never throws.
+/// Reads a (normalized, v2) job document against `registry`: the
+/// document-level rules (top-level keys, schemaVersion, the job kinds and
+/// their mutual exclusion, sweep and items structure, "logicalCounts
+/// required") plus every section through its reader. Returns the estimator
+/// input the sections describe, complete when the document is a single
+/// estimate and no error was found. With a sink, ALL problems are collected
+/// on `diags` — errors for structural and range violations, warnings for
+/// unknown keys — and nothing throws; without one, a bad document throws
+/// qre::Error.
+EstimationInput read_job(const json::Value& job, const Registry& registry,
+                         Diagnostics* diags);
+
+/// read_job for its diagnostics only. Never throws.
 void validate_job(const json::Value& job, const Registry& registry, Diagnostics& diags);
 
 /// Merges a batch item onto its enclosing job document (top-level keys;

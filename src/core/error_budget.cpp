@@ -1,25 +1,22 @@
 #include "core/error_budget.hpp"
 
+#include <string>
+
 #include "common/error.hpp"
+#include "common/field_reader.hpp"
 
 namespace qre {
 
-ErrorBudget ErrorBudget::from_total(double total) {
-  QRE_REQUIRE(total > 0.0 && total < 1.0, "error budget total must be in (0, 1)");
-  ErrorBudget b;
-  b.total_ = total;
-  return b;
-}
+// The factories go through the section reader, so its checks are the only
+// copy of the budget rules.
+ErrorBudget ErrorBudget::from_total(double total) { return from_json(json::Value(total)); }
 
 ErrorBudget ErrorBudget::from_parts(double logical, double tstates, double rotations) {
-  QRE_REQUIRE(logical > 0.0, "error budget: logical part must be positive");
-  QRE_REQUIRE(tstates >= 0.0 && rotations >= 0.0,
-              "error budget: parts must be non-negative");
-  ErrorBudget b;
-  b.explicit_parts_ = ErrorBudgetPartition{logical, tstates, rotations};
-  b.total_ = b.explicit_parts_->total();
-  QRE_REQUIRE(b.total_ < 1.0, "error budget total must be below 1");
-  return b;
+  json::Object parts;
+  parts.emplace_back("logical", logical);
+  parts.emplace_back("tstates", tstates);
+  parts.emplace_back("rotations", rotations);
+  return from_json(json::Value(std::move(parts)));
 }
 
 const std::vector<std::string_view>& ErrorBudget::json_keys() {
@@ -29,11 +26,58 @@ const std::vector<std::string_view>& ErrorBudget::json_keys() {
 }
 
 ErrorBudget ErrorBudget::from_json(const json::Value& v, Diagnostics* diags) {
-  if (v.is_number()) return from_total(v.as_double());
-  check_known_keys(v, json_keys(), "/errorBudget", diags);
-  if (const json::Value* total = v.find("total")) return from_total(total->as_double());
-  return from_parts(v.at("logical").as_double(), v.at("tstates").as_double(),
-                    v.at("rotations").as_double());
+  FieldReader in(v, "/errorBudget", diags);
+  ErrorBudget b = read(in);
+  in.finish();
+  return b;
+}
+
+ErrorBudget ErrorBudget::read(FieldReader& in) {
+  ErrorBudget b;
+  const json::Value& v = in.value();
+  if (v.is_number()) {
+    if (check_total(in, "", v.as_double())) b.total_ = v.as_double();
+    return b;
+  }
+  if (!v.is_object()) {
+    in.error("type-mismatch", "", "errorBudget must be a number or an object");
+    return b;
+  }
+  in.check_keys(json_keys());
+  if (v.find("total") != nullptr) {
+    double total = 0.0;
+    if (in.number("total", total) &&
+        check_total(in, "total", total, "'total' must be in (0, 1)")) {
+      b.total_ = total;
+    }
+    return b;
+  }
+  ErrorBudgetPartition parts;
+  const bool logical = in.number("logical", parts.logical, /*required=*/true);
+  const bool tstates = in.number("tstates", parts.tstates, /*required=*/true);
+  const bool rotations = in.number("rotations", parts.rotations, /*required=*/true);
+  if (logical && parts.logical <= 0.0) {
+    in.error("value-range", "logical", "'logical' budget part must be positive");
+  }
+  if (tstates && parts.tstates < 0.0) {
+    in.error("value-range", "tstates", "'tstates' budget part must be non-negative");
+  }
+  if (rotations && parts.rotations < 0.0) {
+    in.error("value-range", "rotations", "'rotations' budget part must be non-negative");
+  }
+  if (logical && tstates && rotations && parts.total() >= 1.0) {
+    in.error("value-range", "", "error budget parts must sum below 1");
+  }
+  b.explicit_parts_ = parts;
+  b.total_ = parts.total();
+  return b;
+}
+
+bool ErrorBudget::check_total(FieldReader& in, std::string_view key, double total,
+                              std::string_view message) {
+  if (total > 0.0 && total < 1.0) return true;
+  in.error("value-range", key, std::string(message));
+  return false;
 }
 
 json::Value ErrorBudget::to_json() const {

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common/diagnostics.hpp"
+#include "common/field_reader.hpp"
 #include "json/json.hpp"
 
 namespace qre {
@@ -43,12 +44,18 @@ class ErrorBudget {
   static ErrorBudget from_parts(double logical, double tstates, double rotations);
 
   /// Accepts a bare number, {"total": x}, or {"logical": a, "tstates": b,
-  /// "rotations": c}. Unknown object keys warn on `diags` when a sink is
-  /// given and are rejected otherwise.
+  /// "rotations": c}. Every problem is recorded on `diags` when a sink is
+  /// given; without one a bad section throws qre::Error.
   static ErrorBudget from_json(const json::Value& v, Diagnostics* diags = nullptr);
+  /// The section reader behind from_json.
+  static ErrorBudget read(FieldReader& in);
+  /// The rule for a total budget: in (0, 1), or an error at `key` of `in`
+  /// (shared with the frontier's errorBudgets levels).
+  static bool check_total(FieldReader& in, std::string_view key, double total,
+                          std::string_view message = "error budget must be in (0, 1)");
   json::Value to_json() const;
 
-  /// The object keys from_json understands; shared with the validator.
+  /// The object keys from_json understands.
   static const std::vector<std::string_view>& json_keys();
 
   double total() const;

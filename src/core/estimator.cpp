@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/field_reader.hpp"
 #include "common/math.hpp"
 #include "layout/layout.hpp"
 #include "tfactory/factory_cache.hpp"
@@ -20,26 +21,40 @@ const std::vector<std::string_view>& Constraints::json_keys() {
 }
 
 Constraints Constraints::from_json(const json::Value& v, Diagnostics* diags) {
-  check_known_keys(v, json_keys(), "/constraints", diags);
+  FieldReader in(v, "/constraints", diags);
+  Constraints c = read(in);
+  in.finish();
+  return c;
+}
+
+Constraints Constraints::read(FieldReader& in) {
   Constraints c;
-  if (const json::Value* f = v.find("logicalDepthFactor")) {
-    c.logical_depth_factor = f->as_double();
-    QRE_REQUIRE(*c.logical_depth_factor >= 1.0, "logicalDepthFactor must be >= 1");
+  if (!in.expect_object("constraints must be an object")) return c;
+  in.check_keys(json_keys());
+  double depth_factor = 0.0;
+  if (in.number("logicalDepthFactor", depth_factor)) {
+    c.logical_depth_factor = depth_factor;
+    if (depth_factor < 1.0) {
+      in.error("value-range", "logicalDepthFactor", "'logicalDepthFactor' must be >= 1");
+    }
   }
-  if (const json::Value* f = v.find("maxTFactories")) {
-    c.max_t_factories = f->as_uint();
-    QRE_REQUIRE(*c.max_t_factories >= 1, "maxTFactories must be >= 1");
+  std::uint64_t n = 0;
+  if (in.count("maxTFactories", n)) {
+    c.max_t_factories = n;
+    if (n < 1) in.error("value-range", "maxTFactories", "'maxTFactories' must be >= 1");
   }
-  if (const json::Value* f = v.find("maxDuration")) {
-    c.max_duration_ns = f->as_double();
-    QRE_REQUIRE(*c.max_duration_ns > 0.0, "maxDuration must be positive");
+  if (in.count("maxPhysicalQubits", n)) {
+    c.max_physical_qubits = n;
+    if (n < 1) in.error("value-range", "maxPhysicalQubits", "'maxPhysicalQubits' must be >= 1");
   }
-  if (const json::Value* f = v.find("maxPhysicalQubits")) {
-    c.max_physical_qubits = f->as_uint();
-    QRE_REQUIRE(*c.max_physical_qubits >= 1, "maxPhysicalQubits must be >= 1");
-  }
-  if (const json::Value* f = v.find("numTsPerRotation")) {
-    c.num_ts_per_rotation = f->as_uint();
+  // numTsPerRotation accepts 0 ("rotations are free").
+  if (in.count("numTsPerRotation", n)) c.num_ts_per_rotation = n;
+  double max_duration = 0.0;
+  if (in.number("maxDuration", max_duration)) {
+    c.max_duration_ns = max_duration;
+    if (max_duration <= 0.0) {
+      in.error("value-range", "maxDuration", "'maxDuration' must be positive");
+    }
   }
   return c;
 }

@@ -48,11 +48,14 @@ struct Constraints {
   /// Override for the number of T states consumed per rotation.
   std::optional<std::uint64_t> num_ts_per_rotation;
 
-  /// Unknown keys warn on `diags` when a sink is given, reject otherwise.
+  /// Every problem is recorded on `diags` when a sink is given; without one
+  /// a bad section throws qre::Error.
   static Constraints from_json(const json::Value& v, Diagnostics* diags = nullptr);
+  /// The section reader behind from_json.
+  static Constraints read(FieldReader& in);
   json::Value to_json() const;
 
-  /// The keys from_json understands; shared with the schema validator.
+  /// The keys from_json understands.
   static const std::vector<std::string_view>& json_keys();
 };
 

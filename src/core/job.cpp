@@ -12,7 +12,6 @@ EstimationInput estimation_input_from_json(const json::Value& job) {
 }
 
 json::Value run_single_job(const json::Value& job) {
-  QRE_REQUIRE(job.is_object(), "estimation job must be a JSON object");
   QRE_REQUIRE(job.find("items") == nullptr && job.find("sweep") == nullptr &&
                   job.find("frontier") == nullptr,
               "a single job must not carry items, sweep, or frontier");

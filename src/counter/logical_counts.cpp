@@ -1,39 +1,61 @@
 #include "counter/logical_counts.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/error.hpp"
+#include "common/field_reader.hpp"
 
 namespace qre {
 
+namespace {
+
+/// The JSON fields, in json_keys and to_json order.
+constexpr std::pair<std::string_view, std::uint64_t LogicalCounts::*> kFields[] = {
+    {"numQubits", &LogicalCounts::num_qubits},
+    {"tCount", &LogicalCounts::t_count},
+    {"rotationCount", &LogicalCounts::rotation_count},
+    {"rotationDepth", &LogicalCounts::rotation_depth},
+    {"cczCount", &LogicalCounts::ccz_count},
+    {"ccixCount", &LogicalCounts::ccix_count},
+    {"measurementCount", &LogicalCounts::measurement_count},
+    {"cliffordCount", &LogicalCounts::clifford_count},
+};
+
+}  // namespace
+
 const std::vector<std::string_view>& LogicalCounts::json_keys() {
-  static const std::vector<std::string_view> kKeys = {
-      "numQubits", "tCount",           "rotationCount", "rotationDepth",
-      "cczCount",  "ccixCount",        "measurementCount", "cliffordCount",
-  };
+  static const std::vector<std::string_view> kKeys = [] {
+    std::vector<std::string_view> keys;
+    for (const auto& [key, member] : kFields) keys.push_back(key);
+    return keys;
+  }();
   return kKeys;
 }
 
 LogicalCounts LogicalCounts::from_json(const json::Value& v, Diagnostics* diags) {
-  check_known_keys(v, json_keys(), "/logicalCounts", diags);
+  FieldReader in(v, "/logicalCounts", diags);
+  LogicalCounts c = read(in);
+  in.finish();
+  return c;
+}
+
+LogicalCounts LogicalCounts::read(FieldReader& in) {
   LogicalCounts c;
-  c.num_qubits = v.at("numQubits").as_uint();
-  QRE_REQUIRE(c.num_qubits > 0, "LogicalCounts: numQubits must be positive");
-  auto field = [&v](const char* key) -> std::uint64_t {
-    const json::Value* f = v.find(key);
-    return f != nullptr ? f->as_uint() : 0;
-  };
-  c.t_count = field("tCount");
-  c.rotation_count = field("rotationCount");
-  c.rotation_depth = field("rotationDepth");
-  c.ccz_count = field("cczCount");
-  c.ccix_count = field("ccixCount");
-  c.measurement_count = field("measurementCount");
-  c.clifford_count = field("cliffordCount");
-  QRE_REQUIRE(c.rotation_depth <= c.rotation_count,
-              "LogicalCounts: rotationDepth cannot exceed rotationCount");
-  QRE_REQUIRE(c.rotation_count == 0 || c.rotation_depth > 0,
-              "LogicalCounts: rotationDepth must be positive when rotations are present");
+  if (!in.expect_object("logicalCounts must be an object")) return c;
+  in.check_keys(json_keys());
+  for (const auto& [key, member] : kFields) {
+    const bool required = member == &LogicalCounts::num_qubits;
+    if (in.count(key, c.*member, required) && required && c.num_qubits == 0) {
+      in.error("value-range", key, "'numQubits' must be positive");
+    }
+  }
+  if (c.rotation_depth > c.rotation_count) {
+    in.error("value-range", "rotationDepth", "'rotationDepth' cannot exceed 'rotationCount'");
+  } else if (c.rotation_count > 0 && c.rotation_depth == 0) {
+    in.error("value-range", "rotationDepth",
+             "'rotationDepth' must be positive when rotations are present");
+  }
   return c;
 }
 
@@ -68,14 +90,7 @@ LogicalCounts LogicalCounts::repeated(std::uint64_t times) const {
 
 json::Value LogicalCounts::to_json() const {
   json::Object o;
-  o.emplace_back("numQubits", num_qubits);
-  o.emplace_back("tCount", t_count);
-  o.emplace_back("rotationCount", rotation_count);
-  o.emplace_back("rotationDepth", rotation_depth);
-  o.emplace_back("cczCount", ccz_count);
-  o.emplace_back("ccixCount", ccix_count);
-  o.emplace_back("measurementCount", measurement_count);
-  o.emplace_back("cliffordCount", clifford_count);
+  for (const auto& [key, member] : kFields) o.emplace_back(std::string(key), this->*member);
   return json::Value(std::move(o));
 }
 

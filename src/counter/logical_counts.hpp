@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/diagnostics.hpp"
+#include "common/field_reader.hpp"
 #include "json/json.hpp"
 
 namespace qre {
@@ -43,12 +44,14 @@ struct LogicalCounts {
   /// Parses {"numQubits": ..., "tCount": ..., "rotationCount": ...,
   /// "rotationDepth": ..., "cczCount": ..., "ccixCount": ...,
   /// "measurementCount": ...}; all fields except numQubits default to 0.
-  /// Unknown keys are reported as warnings on `diags` when a sink is given
-  /// and rejected (qre::Error) otherwise.
+  /// Every problem is recorded on `diags` when a sink is given; without one
+  /// a bad section throws qre::Error (see common/field_reader.hpp).
   static LogicalCounts from_json(const json::Value& v, Diagnostics* diags = nullptr);
+  /// The section reader behind from_json, for callers composing a document.
+  static LogicalCounts read(FieldReader& in);
   json::Value to_json() const;
 
-  /// The keys from_json understands; shared with the schema validator.
+  /// The keys from_json understands.
   static const std::vector<std::string_view>& json_keys();
 
   /// Composes subroutines executed one after another on a shared machine —

@@ -335,4 +335,16 @@ double Formula::evaluate(const Environment& env) const {
   return result;
 }
 
+bool read_formula(FieldReader& in, std::string_view key, Formula& out, bool required) {
+  const json::Value* text = in.get(key, JsonKind::kString, required);
+  if (text == nullptr) return false;
+  try {
+    out = Formula::parse(text->as_string());
+  } catch (const Error& e) {
+    in.error("invalid-formula", key, e.what());
+    return false;
+  }
+  return true;
+}
+
 }  // namespace qre

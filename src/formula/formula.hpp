@@ -27,6 +27,8 @@
 #include <string_view>
 #include <vector>
 
+#include "common/field_reader.hpp"
+
 namespace qre {
 
 /// Variable bindings for formula evaluation.
@@ -92,5 +94,10 @@ class Formula {
   std::vector<std::string> var_names_;
   std::uint32_t max_stack_ = 0;
 };
+
+/// Reads formula field `key` of a JSON section into `out`; a string that
+/// does not parse records an "invalid-formula" diagnostic. True when `out`
+/// was assigned.
+bool read_formula(FieldReader& in, std::string_view key, Formula& out, bool required = false);
 
 }  // namespace qre

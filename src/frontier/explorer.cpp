@@ -8,7 +8,9 @@
 
 #include "common/cancel.hpp"
 #include "common/error.hpp"
+#include "common/field_reader.hpp"
 #include "common/trace.hpp"
+#include "core/error_budget.hpp"
 
 namespace qre::frontier {
 
@@ -23,35 +25,48 @@ const std::vector<std::string_view>& ExploreOptions::json_keys() {
 }
 
 ExploreOptions ExploreOptions::from_json(const json::Value& v, Diagnostics* diags) {
-  QRE_REQUIRE(v.is_object(), "frontier section must be an object");
-  check_known_keys(v, json_keys(), "/frontier", diags);
+  FieldReader in(v, "/frontier", diags);
+  ExploreOptions o = read(in);
+  in.finish();
+  return o;
+}
+
+ExploreOptions ExploreOptions::read(FieldReader& in) {
   ExploreOptions o;
-  if (const json::Value* f = v.find("maxProbes")) {
-    o.max_probes = static_cast<std::size_t>(f->as_uint());
-    QRE_REQUIRE(o.max_probes >= 2, "frontier.maxProbes must be >= 2");
-  }
-  if (const json::Value* f = v.find("qubitTolerance")) {
-    o.qubit_tolerance = f->as_double();
-    QRE_REQUIRE(o.qubit_tolerance >= 0.0, "frontier.qubitTolerance must be >= 0");
-  }
-  if (const json::Value* f = v.find("runtimeTolerance")) {
-    o.runtime_tolerance = f->as_double();
-    QRE_REQUIRE(o.runtime_tolerance >= 0.0, "frontier.runtimeTolerance must be >= 0");
-  }
-  if (const json::Value* f = v.find("errorBudgets")) {
-    QRE_REQUIRE(f->is_array() && !f->as_array().empty(),
-                "frontier.errorBudgets must be a non-empty array");
-    for (const json::Value& b : f->as_array()) {
-      const double budget = b.as_double();
-      QRE_REQUIRE(budget > 0.0 && budget < 1.0,
-                  "frontier.errorBudgets entries must be in (0, 1)");
-      o.error_budgets.push_back(budget);
+  if (!in.expect_object("frontier must be an object")) return o;
+  in.check_keys(json_keys());
+  std::uint64_t max_probes = 0;
+  if (in.count("maxProbes", max_probes)) {
+    o.max_probes = static_cast<std::size_t>(max_probes);
+    if (max_probes < 2) {
+      in.error("value-range", "maxProbes",
+               "'maxProbes' must be >= 2 (the frontier needs both bracket probes)");
     }
   }
-  // Every budget level costs at least its bracketing probe; a tighter
-  // budget would silently drop whole objective levels.
-  QRE_REQUIRE(o.error_budgets.size() <= o.max_probes,
-              "frontier.maxProbes must be at least the number of errorBudgets levels");
+  if (in.number("qubitTolerance", o.qubit_tolerance) && o.qubit_tolerance < 0.0) {
+    in.error("value-range", "qubitTolerance", "'qubitTolerance' must be >= 0");
+  }
+  if (in.number("runtimeTolerance", o.runtime_tolerance) && o.runtime_tolerance < 0.0) {
+    in.error("value-range", "runtimeTolerance", "'runtimeTolerance' must be >= 0");
+  }
+  if (const json::Value* budgets = in.get("errorBudgets", JsonKind::kArray)) {
+    const json::Array& levels = budgets->as_array();
+    FieldReader levels_in(in, *budgets, in.path_of("errorBudgets"));
+    if (levels.empty()) levels_in.error("value-range", "", "'errorBudgets' must not be empty");
+    for (std::size_t i = 0; i < levels.size(); ++i) {
+      if (!levels[i].is_number()) {
+        levels_in.error("type-mismatch", std::to_string(i), "error budget must be a number");
+      } else if (ErrorBudget::check_total(levels_in, std::to_string(i), levels[i].as_double())) {
+        o.error_budgets.push_back(levels[i].as_double());
+      }
+    }
+    // Every budget level costs at least its bracketing probe; a tighter
+    // budget would silently drop whole objective levels.
+    if (levels.size() > o.max_probes) {
+      in.error("value-range", "errorBudgets",
+               "'errorBudgets' has more levels than 'maxProbes' allows probes");
+    }
+  }
   return o;
 }
 

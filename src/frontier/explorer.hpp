@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "common/diagnostics.hpp"
+#include "common/field_reader.hpp"
 #include "json/json.hpp"
 #include "service/engine.hpp"
 
@@ -54,11 +55,13 @@ struct ExploreOptions {
   /// keeps the document's own budget (a 2-objective exploration).
   std::vector<double> error_budgets;
 
-  /// Unknown keys warn on `diags` when a sink is given, reject otherwise.
-  /// Range violations throw qre::Error.
+  /// Every problem is recorded on `diags` when a sink is given; without one
+  /// a bad section throws qre::Error.
   static ExploreOptions from_json(const json::Value& v, Diagnostics* diags = nullptr);
+  /// The section reader behind from_json.
+  static ExploreOptions read(FieldReader& in);
 
-  /// The keys from_json understands; shared with the schema validator.
+  /// The keys from_json understands.
   static const std::vector<std::string_view>& json_keys();
 };
 

@@ -40,11 +40,17 @@ double Value::as_double() const {
   type_error("number");
 }
 
+bool Value::is_integer() const {
+  if (std::holds_alternative<std::int64_t>(data_)) return true;
+  const double* d = std::get_if<double>(&data_);
+  // [-2^63, 2^63) holds exactly the integral doubles an int64_t can take;
+  // casting anything outside it is undefined behaviour. NaN fails both bounds.
+  return d != nullptr && *d >= -0x1p63 && *d < 0x1p63 && std::floor(*d) == *d;
+}
+
 std::int64_t Value::as_int() const {
   if (const std::int64_t* i = std::get_if<std::int64_t>(&data_)) return *i;
-  if (const double* d = std::get_if<double>(&data_)) {
-    if (std::floor(*d) == *d) return static_cast<std::int64_t>(*d);
-  }
+  if (is_integer()) return static_cast<std::int64_t>(std::get<double>(data_));
   type_error("integer");
 }
 

@@ -50,6 +50,8 @@ class Value {
   bool is_string() const { return std::holds_alternative<std::string>(data_); }
   bool is_array() const { return std::holds_alternative<Array>(data_); }
   bool is_object() const { return std::holds_alternative<Object>(data_); }
+  /// A number as_int() reads exactly: an integer within int64_t range.
+  bool is_integer() const;
 
   /// Typed accessors; each throws qre::Error on a type mismatch.
   bool as_bool() const;

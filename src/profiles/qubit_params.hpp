@@ -26,11 +26,13 @@
 // paper).
 #pragma once
 
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/diagnostics.hpp"
+#include "common/field_reader.hpp"
 #include "json/json.hpp"
 
 namespace qre {
@@ -74,26 +76,42 @@ struct QubitParams {
   static QubitParams maj_ns_e4();
   static QubitParams maj_ns_e6();
 
+  /// The six presets, in the order the paper's Figure 4 uses: the one
+  /// table every lookup by name reads.
+  static const std::vector<QubitParams>& presets();
+
+  /// The preset called `name`, or nullptr.
+  static const QubitParams* find_preset(std::string_view name);
+
   /// Lookup by preset name ("qubit_gate_ns_e3", ...); throws for unknown names.
   static QubitParams from_name(std::string_view name);
 
-  /// Names of all presets, in the order the paper's Figure 4 uses.
+  /// Names of all presets, in presets() order.
   static const std::vector<std::string>& preset_names();
 
   /// Builds a model from JSON. If the object carries a "name" matching a
-  /// preset, the remaining fields override that preset; otherwise all fields
-  /// are required for the given instruction set. Unknown keys warn on
-  /// `diags` when a sink is given and are rejected otherwise.
+  /// preset, the remaining fields override that preset; otherwise it is a
+  /// custom model, which needs "instructionSet" and every field that
+  /// instruction set uses. Every problem is recorded on `diags` when a sink
+  /// is given; without one a bad section throws qre::Error.
   static QubitParams from_json(const json::Value& v, Diagnostics* diags = nullptr);
 
-  /// Applies the JSON overrides ("instructionSet" plus the numeric fields)
-  /// onto this model and validates the result. Used by from_json after
-  /// preset resolution and by the API registry after profile lookup.
-  void apply_json_overrides(const json::Value& v);
+  /// Resolves a profile name to a base model (nullptr: not a known name).
+  using Lookup = std::function<const QubitParams*(std::string_view)>;
+
+  /// The section reader behind from_json, resolving "name" through `find`
+  /// (the API layer passes its profile registry).
+  static QubitParams read(FieldReader& in, const Lookup& find);
+
+  /// Reads "instructionSet" and the numeric fields onto this model. A
+  /// `custom` model has no base, so a field its instruction set uses is
+  /// required unless "instructionSet" itself is missing or bad (the caller
+  /// reports that).
+  void read_fields(FieldReader& in, bool custom);
 
   json::Value to_json() const;
 
-  /// The keys from_json understands; shared with the schema validator.
+  /// The keys from_json understands.
   static const std::vector<std::string_view>& json_keys();
 
   /// The representative physical Clifford error rate used by the QEC

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/field_reader.hpp"
 #include "common/math.hpp"
 #include "common/mutex.hpp"
 #include "common/thread_annotations.hpp"
@@ -61,22 +62,42 @@ QecScheme QecScheme::floquet_code() {
                    Formula::parse("4 * codeDistance * codeDistance + 8 * (codeDistance - 1)"));
 }
 
-QecScheme QecScheme::default_for(InstructionSet set) {
-  return set == InstructionSet::kGateBased ? surface_code_gate_based() : floquet_code();
+std::string_view QecScheme::default_name(InstructionSet set) {
+  return set == InstructionSet::kGateBased ? "surface_code" : "floquet_code";
 }
 
+QecScheme QecScheme::default_for(InstructionSet set) {
+  return from_name(default_name(set), set);
+}
+
+const std::vector<std::pair<InstructionSet, QecScheme>>& QecScheme::presets() {
+  static const std::vector<std::pair<InstructionSet, QecScheme>> kPresets = {
+      {InstructionSet::kGateBased, surface_code_gate_based()},
+      {InstructionSet::kMajorana, surface_code_majorana()},
+      {InstructionSet::kMajorana, floquet_code()},
+  };
+  return kPresets;
+}
+
+const QecScheme* QecScheme::find_preset(std::string_view name, InstructionSet set) {
+  for (const auto& [preset_set, scheme] : presets()) {
+    if (preset_set == set && scheme.name() == name) return &scheme;
+  }
+  return nullptr;
+}
+
+namespace {
+
+std::string unknown_scheme(std::string_view name, InstructionSet set) {
+  return "unknown QEC scheme '" + std::string(name) + "' for " + std::string(to_string(set)) +
+         " hardware";
+}
+
+}  // namespace
+
 QecScheme QecScheme::from_name(std::string_view name, InstructionSet set) {
-  if (name == "surface_code") {
-    return set == InstructionSet::kGateBased ? surface_code_gate_based()
-                                             : surface_code_majorana();
-  }
-  if (name == "floquet_code") {
-    QRE_REQUIRE(set == InstructionSet::kMajorana,
-                "the floquet_code QEC scheme requires Majorana hardware");
-    return floquet_code();
-  }
-  throw_error("unknown QEC scheme '" + std::string(name) +
-              "'; known schemes: surface_code, floquet_code");
+  if (const QecScheme* scheme = find_preset(name, set)) return *scheme;
+  throw_error(unknown_scheme(name, set));
 }
 
 const std::vector<std::string_view>& QecScheme::json_keys() {
@@ -92,33 +113,41 @@ const std::vector<std::string_view>& QecScheme::json_keys() {
 }
 
 QecScheme QecScheme::from_json(const json::Value& v, InstructionSet set, Diagnostics* diags) {
-  check_known_keys(v, json_keys(), "/qecScheme", diags);
-  QecScheme scheme = default_for(set);
-  if (const json::Value* name = v.find("name")) {
-    scheme = from_name(name->as_string(), set);
-  }
-  return customize(std::move(scheme), v);
+  FieldReader in(v, "/qecScheme", diags);
+  QecScheme scheme =
+      read(in, set, [set](std::string_view name) { return find_preset(name, set); });
+  in.finish();
+  return scheme;
 }
 
-QecScheme QecScheme::customize(QecScheme base, const json::Value& v) {
-  if (const json::Value* t = v.find("errorCorrectionThreshold")) {
-    base.threshold_ = t->as_double();
+QecScheme QecScheme::read(FieldReader& in, InstructionSet set, const Lookup& find) {
+  if (!in.expect_object("qecScheme must be an object")) return default_for(set);
+  in.check_keys(json_keys());
+  const QecScheme* base = nullptr;
+  if (const json::Value* name = in.get("name", JsonKind::kString)) {
+    base = find(name->as_string());
+    if (base == nullptr) {
+      in.error("unknown-name", "name", unknown_scheme(name->as_string(), set));
+    }
   }
-  if (const json::Value* a = v.find("crossingPrefactor")) {
-    base.crossing_prefactor_ = a->as_double();
+  return read_overrides(base != nullptr ? *base : default_for(set), in);
+}
+
+QecScheme QecScheme::read_overrides(QecScheme base, FieldReader& in) {
+  if (in.number("errorCorrectionThreshold", base.threshold_) &&
+      !(base.threshold_ > 0.0 && base.threshold_ < 1.0)) {
+    in.error("value-range", "errorCorrectionThreshold",
+             "'errorCorrectionThreshold' must be in (0, 1)");
   }
-  if (const json::Value* f = v.find("logicalCycleTime")) {
-    base.logical_cycle_time_ = Formula::parse(f->as_string());
+  if (in.number("crossingPrefactor", base.crossing_prefactor_) &&
+      base.crossing_prefactor_ <= 0.0) {
+    in.error("value-range", "crossingPrefactor", "'crossingPrefactor' must be positive");
   }
-  if (const json::Value* f = v.find("physicalQubitsPerLogicalQubit")) {
-    base.physical_qubits_per_logical_qubit_ = Formula::parse(f->as_string());
+  read_formula(in, "logicalCycleTime", base.logical_cycle_time_);
+  read_formula(in, "physicalQubitsPerLogicalQubit", base.physical_qubits_per_logical_qubit_);
+  if (in.count("maxCodeDistance", base.max_code_distance_) && base.max_code_distance_ < 1) {
+    in.error("value-range", "maxCodeDistance", "'maxCodeDistance' must be >= 1");
   }
-  if (const json::Value* m = v.find("maxCodeDistance")) {
-    base.max_code_distance_ = m->as_uint();
-  }
-  QRE_REQUIRE(base.threshold_ > 0.0 && base.threshold_ < 1.0,
-              "QEC errorCorrectionThreshold must be in (0, 1)");
-  QRE_REQUIRE(base.crossing_prefactor_ > 0.0, "QEC crossingPrefactor must be positive");
   // The copy shares the source scheme's memo; the formulas may just have
   // changed, so give the customized scheme a cache of its own.
   base.eval_cache_ = std::make_shared<EvalCache>();

@@ -18,13 +18,16 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/diagnostics.hpp"
+#include "common/field_reader.hpp"
 #include "formula/formula.hpp"
 #include "json/json.hpp"
 #include "profiles/qubit_params.hpp"
@@ -49,29 +52,47 @@ class QecScheme {
   /// Default scheme for an instruction set: surface code for gate-based,
   /// floquet code for Majorana (as used in the paper's Figures 3 and 4).
   static QecScheme default_for(InstructionSet set);
+  /// The name of default_for(set), without building the scheme.
+  static std::string_view default_name(InstructionSet set);
 
-  /// Lookup by name: "surface_code" (instruction-set dependent) or
-  /// "floquet_code" (Majorana only; throws for gate-based).
+  /// The preset schemes with the instruction set each serves: the one
+  /// table every lookup by name reads. "surface_code" has one entry per
+  /// set; "floquet_code" is Majorana only.
+  static const std::vector<std::pair<InstructionSet, QecScheme>>& presets();
+
+  /// The preset called `name` for `set`, or nullptr.
+  static const QecScheme* find_preset(std::string_view name, InstructionSet set);
+
+  /// Lookup by name for an instruction set; throws for a name with no
+  /// preset on that set (e.g. "floquet_code" for gate-based hardware).
   static QecScheme from_name(std::string_view name, InstructionSet set);
 
   /// Customization from JSON: an optional "name" preset plus any of
   /// "errorCorrectionThreshold", "crossingPrefactor", "logicalCycleTime",
-  /// "physicalQubitsPerLogicalQubit", "maxCodeDistance" overrides. Unknown
-  /// keys warn on `diags` when a sink is given and are rejected otherwise.
+  /// "physicalQubitsPerLogicalQubit", "maxCodeDistance" overrides. Every
+  /// problem is recorded on `diags` when a sink is given; without one a bad
+  /// section throws qre::Error.
   static QecScheme from_json(const json::Value& v, InstructionSet set,
                              Diagnostics* diags = nullptr);
 
-  /// Applies the JSON override keys (everything but "name") onto `base` and
-  /// range-checks the result. Used by from_json after preset resolution and
-  /// by the API registry after scheme lookup.
-  static QecScheme customize(QecScheme base, const json::Value& v);
+  /// Resolves a scheme name for the reader's instruction set (nullptr: not
+  /// a known name).
+  using Lookup = std::function<const QecScheme*(std::string_view)>;
+
+  /// The section reader behind from_json, resolving "name" through `find`
+  /// (the API layer passes its registry); no name means default_for(set).
+  static QecScheme read(FieldReader& in, InstructionSet set, const Lookup& find);
+
+  /// Reads the override keys (everything but "name") onto `base`. Used by
+  /// read() and by profile-pack loading.
+  static QecScheme read_overrides(QecScheme base, FieldReader& in);
 
   /// A copy of this scheme under a different name (profile-pack loading).
   QecScheme with_name(std::string name) const;
 
   json::Value to_json() const;
 
-  /// The keys from_json understands; shared with the schema validator.
+  /// The keys from_json understands.
   static const std::vector<std::string_view>& json_keys();
 
   const std::string& name() const { return name_; }
@@ -115,7 +136,7 @@ class QecScheme {
   std::uint64_t max_code_distance_ = 51;
 
   /// Formula-evaluation memo, shared by copies of this scheme (copies keep
-  /// the same formulas; customize() re-seats it before changing any).
+  /// the same formulas; read_overrides() re-seats it before changing any).
   /// Concurrency-safe: results are plain doubles guarded by a mutex.
   struct EvalCache;
   std::shared_ptr<EvalCache> eval_cache_;

@@ -4,7 +4,6 @@
 #include <string_view>
 #include <utility>
 
-#include "api/api.hpp"
 #include "api/schema.hpp"
 #include "common/diagnostics.hpp"
 #include "common/error.hpp"
@@ -158,30 +157,11 @@ BatchKernelPlan plan_batch_kernel(const json::Value& job, const std::vector<json
       }
     }
 
-    // Parse and validate each axis VALUE once, via its materialized probe
-    // document (base + this value, every other axis at its first value) —
-    // the same parse the legacy path would run for that item, so payloads
-    // are exact. A value whose probe fails validation/parsing is marked
-    // invalid; grid items picking it run the legacy fallback and produce
-    // identical error documents.
-    // Only invalid values get a default-constructed placeholder: building an
-    // EstimationInput (its QEC formulas and distillation units) costs about
-    // as much as parsing one.
-    auto parse_value = [&registry](const json::Value& probe, std::uint8_t& valid) {
-      Diagnostics probe_diags;
-      api::validate_job(probe, registry, probe_diags);
-      if (!probe_diags.has_errors()) {
-        try {
-          Diagnostics sink;  // tolerate warnings, as the legacy runner does
-          EstimationInput input = api::input_from_document(probe, registry, &sink);
-          valid = 1;
-          return input;
-        } catch (const std::exception&) {
-          // leave invalid: the fallback runner reports the exact error
-        }
-      }
-      return EstimationInput{};
-    };
+    // Read each axis VALUE once, via its materialized probe document (base +
+    // this value, every other axis at its first value) — the same read the
+    // legacy path runs for that item, so payloads are exact. A value whose
+    // probe has errors is marked invalid; grid items picking it run the
+    // legacy fallback and produce identical error documents.
     for (std::size_t j = 0; j < plan.axes_.size(); ++j) {
       BatchKernelAxis& a = plan.axes_[j];
       const std::size_t n = declared[j].values.size();
@@ -190,24 +170,27 @@ BatchKernelPlan plan_batch_kernel(const json::Value& job, const std::vector<json
       a.key_dumps.reserve(n);
       for (std::size_t k = 0; k < n; ++k) {
         a.key_dumps.push_back(canonical_key(declared[j].values[k]));
-        a.values.push_back(parse_value(items[k * a.stride], a.valid[k]));
+        Diagnostics probe_diags;
+        a.values.push_back(api::read_job(items[k * a.stride], registry, &probe_diags));
+        a.valid[k] = probe_diags.has_errors() ? 0 : 1;
       }
     }
 
-    // Reference input: the first grid point whose picks are all valid; its
-    // parse fixes every non-axis section once per sweep.
+    // Reference input: the first grid point whose picks are all valid. Every
+    // item shares the non-axis sections, so the reference is any parsed
+    // value with the reference picks applied — no further read.
     {
-      std::size_t reference = 0;
+      std::vector<std::uint32_t> picks(plan.axes_.size());
       for (std::size_t j = 0; j < plan.axes_.size(); ++j) {
         const BatchKernelAxis& a = plan.axes_[j];
         const auto first_valid = std::find(a.valid.begin(), a.valid.end(), 1);
         if (first_valid == a.valid.end()) {
           return decline("axis '" + a.path + "' has no valid values");
         }
-        reference += static_cast<std::size_t>(first_valid - a.valid.begin()) * a.stride;
+        picks[j] = static_cast<std::uint32_t>(first_valid - a.valid.begin());
       }
-      Diagnostics sink;
-      plan.reference_input_ = api::input_from_document(items[reference], registry, &sink);
+      plan.reference_input_ = plan.axes_[0].values[picks[0]];
+      plan.apply(picks, plan.reference_input_);
     }
 
     // Cache-key skeleton: substitute a unique sentinel string for each axis

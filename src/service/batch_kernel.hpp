@@ -7,8 +7,9 @@
 // work:
 //
 //  * plan_batch_kernel() analyzes the sweep ONCE: it resolves the registry
-//    profile set, parses and validates each axis VALUE once (not each grid
-//    item), keeps each value's parsed EstimationInput on its axis, and
+//    profile set, reads each axis VALUE once (not each grid item) with the
+//    one reader that validates and parses (api::read_job), keeps each
+//    value's EstimationInput on its axis, and
 //    precomputes the canonical cache-key skeleton so per-item keys are
 //    spliced, not re-serialized;
 //  * run_batch_kernel() evaluates grid items by copying each axis's parsed

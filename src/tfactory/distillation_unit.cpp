@@ -1,6 +1,7 @@
 #include "tfactory/distillation_unit.hpp"
 
 #include "common/error.hpp"
+#include "common/field_reader.hpp"
 
 namespace qre {
 
@@ -64,28 +65,50 @@ const std::vector<std::string_view>& DistillationUnit::logical_spec_keys() {
 
 DistillationUnit DistillationUnit::from_json(const json::Value& v, Diagnostics* diags,
                                              std::string_view base_path) {
-  check_known_keys(v, json_keys(), base_path, diags);
+  FieldReader in(v, std::string(base_path), diags);
+  DistillationUnit u = read(in);
+  in.finish();
+  return u;
+}
+
+DistillationUnit DistillationUnit::read(FieldReader& in) {
   DistillationUnit u;
-  u.name = v.at("name").as_string();
-  u.num_input_ts = v.at("numInputTs").as_uint();
-  u.num_output_ts = v.at("numOutputTs").as_uint();
-  u.failure_probability = Formula::parse(v.at("failureProbabilityFormula").as_string());
-  u.output_error_rate = Formula::parse(v.at("outputErrorRateFormula").as_string());
-  if (const json::Value* phys = v.find("physicalQubitSpecification")) {
-    check_known_keys(*phys, physical_spec_keys(),
-                     pointer_join(base_path, "physicalQubitSpecification"), diags);
+  if (!in.expect_object("distillation unit specification must be an object")) return u;
+  in.check_keys(json_keys());
+  if (const json::Value* name = in.get("name", JsonKind::kString, /*required=*/true)) {
+    u.name = name->as_string();
+  }
+  const bool in_ok = in.count("numInputTs", u.num_input_ts, /*required=*/true);
+  const bool out_ok = in.count("numOutputTs", u.num_output_ts, /*required=*/true);
+  if (in_ok && out_ok && !(u.num_output_ts > 0 && u.num_output_ts < u.num_input_ts)) {
+    in.error("value-range", "numOutputTs",
+             "a distillation unit must output fewer (but at least one) T states "
+             "than it consumes");
+  }
+  read_formula(in, "failureProbabilityFormula", u.failure_probability, /*required=*/true);
+  read_formula(in, "outputErrorRateFormula", u.output_error_rate, /*required=*/true);
+  const json::Value* phys = in.get("physicalQubitSpecification", JsonKind::kObject);
+  const json::Value* log = in.get("logicalQubitSpecification", JsonKind::kObject);
+  if (in.value().find("physicalQubitSpecification") == nullptr &&
+      in.value().find("logicalQubitSpecification") == nullptr) {
+    in.error("required-missing", "",
+             "distillation unit needs a physicalQubitSpecification or "
+             "logicalQubitSpecification");
+  }
+  if (phys != nullptr) {
+    FieldReader spec(in, *phys, in.path_of("physicalQubitSpecification"));
+    spec.check_keys(physical_spec_keys());
     u.allow_physical = true;
-    u.physical_qubits_at_physical = phys->at("numUnitQubits").as_uint();
-    u.duration_at_physical_ns = Formula::parse(phys->at("durationFormula").as_string());
+    spec.count("numUnitQubits", u.physical_qubits_at_physical, /*required=*/true);
+    read_formula(spec, "durationFormula", u.duration_at_physical_ns, /*required=*/true);
   }
-  if (const json::Value* log = v.find("logicalQubitSpecification")) {
-    check_known_keys(*log, logical_spec_keys(),
-                     pointer_join(base_path, "logicalQubitSpecification"), diags);
+  if (log != nullptr) {
+    FieldReader spec(in, *log, in.path_of("logicalQubitSpecification"));
+    spec.check_keys(logical_spec_keys());
     u.allow_logical = true;
-    u.logical_qubits_at_logical = log->at("numUnitQubits").as_uint();
-    u.duration_in_logical_cycles = log->at("durationInLogicalCycles").as_uint();
+    spec.count("numUnitQubits", u.logical_qubits_at_logical, /*required=*/true);
+    spec.count("durationInLogicalCycles", u.duration_in_logical_cycles, /*required=*/true);
   }
-  u.validate();
   return u;
 }
 

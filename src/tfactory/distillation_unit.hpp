@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "common/diagnostics.hpp"
+#include "common/field_reader.hpp"
 #include "formula/formula.hpp"
 #include "json/json.hpp"
 #include "profiles/qubit_params.hpp"
@@ -61,16 +62,19 @@ struct DistillationUnit {
   static std::vector<DistillationUnit> default_units();
 
   /// JSON customization; see tests/test_tfactory.cpp for the schema.
-  /// Unknown keys warn on `diags` when a sink is given, reject otherwise;
-  /// `base_path` anchors those warnings (callers that know the unit's array
-  /// index pass e.g. "/distillationUnitSpecifications/2").
+  /// Every problem is recorded on `diags` when a sink is given; without one
+  /// a bad specification throws qre::Error. `base_path` anchors the
+  /// diagnostics (callers that know the unit's array index pass e.g.
+  /// "/distillationUnitSpecifications/2").
   static DistillationUnit from_json(const json::Value& v, Diagnostics* diags = nullptr,
                                     std::string_view base_path =
                                         "/distillationUnitSpecifications");
+  /// The specification reader behind from_json.
+  static DistillationUnit read(FieldReader& in);
   json::Value to_json() const;
 
   /// The keys from_json understands (top level and the two nested level
-  /// specifications); shared with the schema validator.
+  /// specifications).
   static const std::vector<std::string_view>& json_keys();
   static const std::vector<std::string_view>& physical_spec_keys();
   static const std::vector<std::string_view>& logical_spec_keys();

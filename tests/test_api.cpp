@@ -10,6 +10,7 @@
 #include "api/api.hpp"
 #include "common/error.hpp"
 #include "core/job.hpp"
+#include "frontier/explorer.hpp"
 
 #ifndef QRE_SOURCE_DIR
 #define QRE_SOURCE_DIR "."
@@ -143,7 +144,109 @@ TEST(Registry, ProfilePackCollectsErrorsAndKeepsGoodEntries) {
   EXPECT_DOUBLE_EQ(r.find_qubit("ok_profile")->t_gate_error_rate, 0.04);
 }
 
+TEST(Registry, ProfilePackReportsBadFieldsAtTheirOwnPaths) {
+  Registry r = Registry::with_builtins();
+  Diagnostics diags;
+  json::Value pack = json::parse(R"({
+    "qubitParams": [
+      {"name": "hot", "base": "qubit_gate_ns_e3", "tGateErrorRate": 2.5,
+       "oneQubitGateTime": "fast"},
+      {"name": "bare_majorana", "instructionSet": "Majorana", "tGateTime": 10}
+    ],
+    "qecSchemes": [
+      {"name": "tight", "instructionSet": "GateBased", "maxCodeDistance": 0}
+    ],
+    "distillationUnits": [
+      {"name": "bad", "numInputTs": 2, "numOutputTs": 4,
+       "failureProbabilityFormula": "inputErrorRate *",
+       "outputErrorRateFormula": "inputErrorRate",
+       "logicalQubitSpecification": {"numUnitQubits": 3, "durationInLogicalCycles": 1}}
+    ]
+  })");
+  r.load_profile_pack(pack, diags);
+  EXPECT_NE(find_diagnostic(diags, "value-range", "/qubitParams/0/tGateErrorRate"), nullptr);
+  EXPECT_NE(find_diagnostic(diags, "type-mismatch", "/qubitParams/0/oneQubitGateTime"),
+            nullptr);
+  // A new profile without a base needs every field its instruction set uses.
+  EXPECT_NE(find_diagnostic(diags, "required-missing",
+                            "/qubitParams/1/twoQubitJointMeasurementTime"),
+            nullptr);
+  EXPECT_NE(find_diagnostic(diags, "value-range", "/qecSchemes/0/maxCodeDistance"), nullptr);
+  EXPECT_NE(find_diagnostic(diags, "value-range", "/distillationUnits/0/numOutputTs"),
+            nullptr);
+  EXPECT_NE(find_diagnostic(diags, "invalid-formula",
+                            "/distillationUnits/0/failureProbabilityFormula"),
+            nullptr);
+  // No entry-level catch-all, and nothing bad was registered.
+  for (const std::string path : {"/qubitParams/0", "/qubitParams/1", "/qecSchemes/0",
+                                 "/distillationUnits/0"}) {
+    EXPECT_EQ(find_diagnostic(diags, "value-range", path), nullptr) << path;
+  }
+  EXPECT_EQ(r.find_qubit("hot"), nullptr);
+  EXPECT_EQ(r.find_qubit("bare_majorana"), nullptr);
+  EXPECT_EQ(r.find_qec("tight", InstructionSet::kGateBased), nullptr);
+  EXPECT_EQ(r.find_distillation("bad"), nullptr);
+}
+
 // -------------------------------------------------- validation & schema ---
+
+TEST(SchemaV2, SectionReadersRecordEveryProblemOrThrowWithoutSink) {
+  const json::Value counts =
+      json::parse(R"({"numQubits": 0, "tCount": -3, "rotationCount": 4, "cczCount": 1e308})");
+  Diagnostics diags;
+  (void)LogicalCounts::from_json(counts, &diags);  // keeps reading past each problem
+  EXPECT_NE(find_diagnostic(diags, "value-range", "/logicalCounts/numQubits"), nullptr);
+  EXPECT_NE(find_diagnostic(diags, "type-mismatch", "/logicalCounts/tCount"), nullptr);
+  EXPECT_NE(find_diagnostic(diags, "type-mismatch", "/logicalCounts/cczCount"), nullptr);
+  EXPECT_NE(find_diagnostic(diags, "value-range", "/logicalCounts/rotationDepth"), nullptr);
+  EXPECT_EQ(diags.num_errors(), 4u);
+  EXPECT_THROW((void)LogicalCounts::from_json(counts), Error);
+
+  // The frontier section reader is the one validate_job runs.
+  Diagnostics frontier_diags;
+  (void)frontier::ExploreOptions::from_json(
+      json::parse(R"({"maxProbes": 1, "errorBudgets": [0.5, 2.0]})"), &frontier_diags);
+  EXPECT_NE(find_diagnostic(frontier_diags, "value-range", "/frontier/maxProbes"), nullptr);
+  EXPECT_NE(find_diagnostic(frontier_diags, "value-range", "/frontier/errorBudgets/1"),
+            nullptr);
+  EXPECT_NE(find_diagnostic(frontier_diags, "value-range", "/frontier/errorBudgets"), nullptr);
+}
+
+TEST(SchemaV2, AcceptedDocumentsAreReadable) {
+  // Each of these passed validation and then failed in the estimator's
+  // reader: the validator and the reader are now one code path.
+  for (const char* text : {
+           R"({"logicalCounts": {"numQubits": 1e20, "tCount": 10}})",
+           R"({"logicalCounts": {"numQubits": 5},
+               "qubitParams": {"name": "qubit_gate_ns_e3", "instructionSet": "Majorana"}})",
+           R"({"logicalCounts": {"numQubits": 5}, "constraints": {"maxTFactories": 1e19}})",
+       }) {
+    SCOPED_TRACE(text);
+    EstimateRequest request = EstimateRequest::parse(json::parse(text));
+    EXPECT_FALSE(request.ok());
+  }
+  EstimateRequest request = EstimateRequest::parse(
+      json::parse(R"({"logicalCounts": {"numQubits": 1e20, "tCount": 10}})"));
+  EXPECT_NE(find_diagnostic(request.diagnostics, "type-mismatch", "/logicalCounts/numQubits"),
+            nullptr);
+}
+
+TEST(SchemaV2, ReadingAnInputStillRequiresTopLevelCounts) {
+  // A batch or sweep may leave the counts to its items when validated, but
+  // an estimator input read from such a document names the missing section.
+  for (const char* text : {
+           R"({"items": [{"logicalCounts": {"numQubits": 5}}]})",
+           R"({"sweep": {"logicalCounts.numQubits": [5, 6]}})",
+       }) {
+    SCOPED_TRACE(text);
+    const json::Value job = json::parse(text);
+    EXPECT_TRUE(EstimateRequest::parse(job).ok());
+    EXPECT_THROW((void)estimation_input_from_json(job), Error);
+    Diagnostics diags;
+    EXPECT_THROW((void)api::input_from_document(job, Registry::global(), &diags), Error);
+    EXPECT_NE(find_diagnostic(diags, "required-missing", "/logicalCounts"), nullptr);
+  }
+}
 
 TEST(SchemaV2, CollectsAllProblemsWithPointerPaths) {
   // Three distinct field errors plus one unknown key: one response, four

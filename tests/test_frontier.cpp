@@ -22,8 +22,6 @@ namespace {
 
 using api::EstimateRequest;
 using api::EstimateResponse;
-using api::FrontierRequest;
-using api::FrontierResponse;
 using api::Registry;
 using frontier::ExploreOptions;
 using frontier::ExploreStats;
@@ -375,24 +373,22 @@ const Diagnostic* find_diag(const Diagnostics& diags, std::string_view code,
   return nullptr;
 }
 
-TEST(FrontierValidation, FrontierRequestRequiresTheSection) {
-  Registry registry = Registry::with_builtins();
-  FrontierRequest request = FrontierRequest::parse(
-      json::parse(R"({"schemaVersion": 2, "logicalCounts": {"numQubits": 5}})"), registry);
-  EXPECT_FALSE(request.ok());
-  EXPECT_NE(find_diag(request.diagnostics, "required-missing", "/frontier"), nullptr);
-}
-
 TEST(FrontierValidation, ParseAcceptsAndEchoesOptions) {
   Registry registry = Registry::with_builtins();
-  FrontierRequest request =
-      FrontierRequest::parse(json::parse(kRealFrontierJob), registry);
+  EstimateRequest request = EstimateRequest::parse(json::parse(kRealFrontierJob), registry);
   ASSERT_TRUE(request.ok()) << request.diagnostics.summary();
-  EXPECT_EQ(request.options.max_probes, 16u);
-  EXPECT_DOUBLE_EQ(request.options.qubit_tolerance, 0.02);
-  FrontierResponse response = api::run_frontier(request, {}, registry);
-  ASSERT_TRUE(response.success);
+  EstimateResponse response = api::run(request, {}, registry);
+  ASSERT_TRUE(response.success) << response.diagnostics.summary();
+  EXPECT_EQ(response.result.at("frontierStats").at("probeLimit").as_uint(), 16u);
   EXPECT_EQ(response.to_json().at("schemaVersion").as_int(), 2);
+
+  // The section reader api::run uses carries every option, not just the
+  // probe bound that frontierStats echoes.
+  frontier::ExploreOptions options =
+      frontier::ExploreOptions::from_json(json::parse(kRealFrontierJob).at("frontier"));
+  EXPECT_EQ(options.max_probes, 16u);
+  EXPECT_DOUBLE_EQ(options.qubit_tolerance, 0.02);
+  EXPECT_DOUBLE_EQ(options.runtime_tolerance, 0.02);
 }
 
 TEST(FrontierValidation, MutuallyExclusiveWithBatchKindsAndLegacyType) {

@@ -100,6 +100,25 @@ TEST(Json, TypeErrors) {
   EXPECT_THROW(v.at("s").as_bool(), Error);
 }
 
+TEST(Json, IntegersOutsideInt64RangeAreTypeErrors) {
+  // Casting these doubles to int64_t would be undefined behaviour.
+  for (const char* text : {"1e19", "9.3e18", "1e308", "-1e300"}) {
+    SCOPED_TRACE(text);
+    EXPECT_FALSE(parse(text).is_integer());
+    EXPECT_THROW(parse(text).as_int(), Error);
+    EXPECT_THROW(parse(text).as_uint(), Error);
+  }
+  // -2^63 is representable, whether it parses as an integer or a double.
+  for (const char* text : {"-9223372036854775808", "-9.223372036854775808e18"}) {
+    SCOPED_TRACE(text);
+    EXPECT_TRUE(parse(text).is_integer());
+    EXPECT_EQ(parse(text).as_int(), std::numeric_limits<std::int64_t>::min());
+  }
+  EXPECT_EQ(parse("9.2e18").as_int(), 9200000000000000000);
+  EXPECT_FALSE(parse("2.5").is_integer());
+  EXPECT_FALSE(parse("\"7\"").is_integer());
+}
+
 TEST(Json, ParseErrors) {
   EXPECT_THROW(parse(""), Error);
   EXPECT_THROW(parse("{"), Error);

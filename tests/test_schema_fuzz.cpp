@@ -2,7 +2,9 @@
 // of valid schema-v2 documents (key deletion, type swaps, value
 // replacement) and raw byte corruption, asserting the validator, the JSON
 // parser, the HTTP message layer, and the router never crash and always
-// answer with structured diagnostics (or a 4xx envelope) instead.
+// answer with structured diagnostics (or a 4xx envelope) instead. Mutants
+// the validator accepts must be readable, and the diagnostics for a fixed
+// mutant corpus are pinned by a golden file.
 //
 // All randomness is seeded per-iteration, so any failure reproduces
 // exactly from the test log.
@@ -10,20 +12,23 @@
 
 #include <unistd.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <memory>
 #include <random>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "api/api.hpp"
-#include "api/frontier.hpp"
 #include "common/error.hpp"
 #include "json/json.hpp"
 #include "server/http.hpp"
 #include "server/router.hpp"
+#include "service/engine.hpp"
 #include "store/estimate_store.hpp"
 #include "store/store.hpp"
 
@@ -107,17 +112,25 @@ void mutate(json::Value& node, std::mt19937_64& rng, int depth = 0) {
 }
 
 /// The property every input surface must hold: parse + validate never
-/// throw, and whatever diagnostics come back are structurally sound.
-void expect_graceful_validation(const json::Value& document) {
+/// throw, and whatever diagnostics come back are structurally sound. An
+/// accepted frontier job also runs on `engine`: it may fail only at run time
+/// (every probe infeasible), never in reading its section.
+void expect_graceful_validation(const json::Value& document, service::Engine* engine = nullptr) {
   api::Registry registry = api::Registry::with_builtins();
   api::EstimateRequest request;
   ASSERT_NO_THROW(request = api::EstimateRequest::parse(document, registry));
   if (request.ok()) {
     ASSERT_NO_THROW(
         api::validate_batch_items(request.document, registry, request.diagnostics));
-    if (request.document.is_object() &&
+    if (engine != nullptr && request.document.is_object() &&
         request.document.find("frontier") != nullptr) {
-      ASSERT_NO_THROW(api::FrontierRequest::parse(document, registry));
+      api::EstimateResponse response;
+      ASSERT_NO_THROW(response = api::run(request, engine->options(), registry));
+      for (const Diagnostic& d : response.diagnostics.entries()) {
+        if (d.severity == Severity::kError) {
+          EXPECT_EQ(d.code, "estimation-failed");
+        }
+      }
     }
   }
   for (const Diagnostic& d : request.diagnostics.entries()) {
@@ -131,24 +144,155 @@ void expect_graceful_validation(const json::Value& document) {
   EXPECT_NO_THROW((void)request.diagnostics.to_json().dump());
 }
 
-TEST(SchemaFuzz, MutatedDocumentsAlwaysValidateGracefully) {
-  const std::vector<json::Value> seeds = {
+std::vector<json::Value> fuzz_seeds() {
+  return {
       json::parse(kSingleJob),
       json::parse(kFrontierJob),
       json::parse_file(QRE_SOURCE_DIR "/examples/fig4_sweep_job.json"),
       json::parse_file(QRE_SOURCE_DIR "/examples/frontier_job.json"),
   };
+}
+
+/// Mutant `iteration` of fuzz seed `seed_index`: 1-4 rounds of mutate().
+json::Value fuzz_mutant(const std::vector<json::Value>& seeds, std::size_t seed_index,
+                        std::uint64_t iteration) {
+  std::mt19937_64 rng(1000 * seed_index + iteration);
+  json::Value document = seeds[seed_index];
+  const std::uint64_t rounds = 1 + rng() % 4;
+  for (std::uint64_t r = 0; r < rounds; ++r) mutate(document, rng);
+  return document;
+}
+
+TEST(SchemaFuzz, MutatedDocumentsAlwaysValidateGracefully) {
+  const std::vector<json::Value> seeds = fuzz_seeds();
+  service::Engine engine;  // shared, so repeated frontier probes hit its cache
   for (std::size_t seed_index = 0; seed_index < seeds.size(); ++seed_index) {
     for (std::uint64_t iteration = 0; iteration < 300; ++iteration) {
-      std::mt19937_64 rng(1000 * seed_index + iteration);
-      json::Value document = seeds[seed_index];
-      const std::uint64_t rounds = 1 + rng() % 4;
-      for (std::uint64_t r = 0; r < rounds; ++r) mutate(document, rng);
       SCOPED_TRACE("seed_index=" + std::to_string(seed_index) +
                    " iteration=" + std::to_string(iteration));
-      expect_graceful_validation(document);
+      expect_graceful_validation(fuzz_mutant(seeds, seed_index, iteration), &engine);
     }
   }
+}
+
+// Every single-estimate mutant the validator accepts must also read: the
+// validator IS the reader, so accepting a document the estimator then
+// cannot read (an out-of-range integer, say) is a bug.
+TEST(SchemaFuzz, AcceptedSingleEstimatesAlwaysRead) {
+  api::Registry registry = api::Registry::with_builtins();
+  const json::Value seed = json::parse(kSingleJob);
+  std::size_t accepted = 0;
+  for (std::uint64_t i = 0; i < 20000; ++i) {
+    std::mt19937_64 rng(1234 + i);
+    json::Value document = seed;
+    const std::uint64_t rounds = 1 + rng() % 3;
+    for (std::uint64_t r = 0; r < rounds; ++r) mutate(document, rng);
+    const api::EstimateRequest request = api::EstimateRequest::parse(document, registry);
+    if (!request.ok()) continue;
+    ++accepted;
+    Diagnostics sink;
+    EXPECT_NO_THROW((void)api::input_from_document(request.document, registry, &sink))
+        << "mutant " << i << ": " << document.dump();
+  }
+  EXPECT_GT(accepted, 1000u);
+}
+
+// --------------------------------------------------- diagnostics golden ---
+
+// Every diagnostic EstimateRequest::parse and validate_batch_items report on
+// a fixed corpus of mutants, in order, one line per mutant. The golden file
+// pins codes, paths and messages, so moving a rule between the validator and
+// the section readers cannot change what a caller is told.
+constexpr std::uint64_t kCorpusIterations = 512;
+
+std::vector<std::string> diagnostics_corpus() {
+  const std::vector<json::Value> seeds = fuzz_seeds();
+  api::Registry registry = api::Registry::with_builtins();
+  std::vector<std::string> lines;
+  for (std::size_t seed_index = 0; seed_index < seeds.size(); ++seed_index) {
+    for (std::uint64_t iteration = 0; iteration < kCorpusIterations; ++iteration) {
+      const json::Value document = fuzz_mutant(seeds, seed_index, iteration);
+      api::EstimateRequest request = api::EstimateRequest::parse(document, registry);
+      if (request.ok()) {
+        api::validate_batch_items(request.document, registry, request.diagnostics);
+      }
+      json::Object line;
+      line.emplace_back("seed", static_cast<std::uint64_t>(seed_index));
+      line.emplace_back("iteration", iteration);
+      line.emplace_back("diagnostics", request.diagnostics.to_json());
+      lines.push_back(json::Value(std::move(line)).dump());
+    }
+  }
+  return lines;
+}
+
+/// JSON pointers of the integral numbers in `v` beyond int64_t range (1e308):
+/// counts the validator once accepted although the reader could not read
+/// them.
+void out_of_range_integers(const json::Value& v, const std::string& path,
+                           std::vector<std::string>& out) {
+  if (v.is_number() && !v.is_integer() && std::floor(v.as_double()) == v.as_double()) {
+    out.push_back(path);
+  } else if (v.is_object()) {
+    for (const auto& [key, child] : v.as_object()) {
+      out_of_range_integers(child, pointer_join(path, key), out);
+    }
+  } else if (v.is_array()) {
+    for (std::size_t i = 0; i < v.as_array().size(); ++i) {
+      out_of_range_integers(v.as_array()[i], pointer_join(path, i), out);
+    }
+  }
+}
+
+/// The mutants (seed, iteration) whose diagnostics differ from the golden
+/// file. Each carries a count beyond int64_t range, which the validator
+/// passed and the reader then failed on: 7 that were accepted outright
+/// ((0,8) (1,310) (1,480) (2,11) (2,74) (2,164) (3,291)), and 12 that
+/// were already rejected for other problems and now also report it.
+const std::set<std::pair<std::uint64_t, std::uint64_t>> kOutOfRangeMutants = {
+    {0, 8},   {0, 43},  {0, 443}, {1, 33},  {1, 310}, {1, 480}, {2, 11},
+    {2, 74},  {2, 78},  {2, 100}, {2, 164}, {2, 167}, {3, 39},  {3, 149},
+    {3, 173}, {3, 266}, {3, 291}, {3, 342}, {3, 424},
+};
+
+TEST(SchemaFuzz, DiagnosticsMatchTheGoldenCorpus) {
+  const std::string path = QRE_SOURCE_DIR "/tests/data/golden/diagnostics_corpus.json";
+  const std::vector<std::string> actual = diagnostics_corpus();
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << "missing golden file " << path;
+  std::vector<std::string> golden;
+  for (std::string line; std::getline(in, line);) {
+    if (line == "[" || line == "]") continue;
+    if (!line.empty() && line.back() == ',') line.pop_back();
+    golden.push_back(line);
+  }
+  ASSERT_EQ(golden.size(), actual.size());
+  const std::vector<json::Value> seeds = fuzz_seeds();
+  std::size_t differing = 0;
+  for (std::size_t i = 0; i < actual.size(); ++i) {
+    if (golden[i] == actual[i]) continue;
+    ++differing;
+    SCOPED_TRACE("golden: " + golden[i] + "\n  actual: " + actual[i]);
+    const json::Value now = json::parse(actual[i]);
+    const std::uint64_t seed = now.at("seed").as_uint();
+    const std::uint64_t iteration = now.at("iteration").as_uint();
+    EXPECT_EQ(kOutOfRangeMutants.count({seed, iteration}), 1u)
+        << "diagnostics drifted from the golden corpus";
+    // The difference must be an error at (or, for a sweep grid, under) one
+    // of the mutant's out-of-range counts.
+    std::vector<std::string> counts;
+    out_of_range_integers(fuzz_mutant(seeds, seed, iteration), "", counts);
+    bool reported = false;
+    for (const json::Value& d : now.at("diagnostics").as_array()) {
+      const std::string& at = d.at("path").as_string();
+      for (const std::string& c : counts) {
+        reported |= d.at("severity").as_string() == "error" &&
+                    (at == c || (at == "/sweep" && c.rfind("/sweep/", 0) == 0));
+      }
+    }
+    EXPECT_TRUE(reported);
+  }
+  EXPECT_EQ(differing, kOutOfRangeMutants.size());
 }
 
 // ------------------------------------------------------ byte corruption ---
