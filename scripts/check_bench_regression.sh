@@ -11,8 +11,12 @@
 #   serialised share   sweep_items_per_sec_serialised / sweep_items_per_sec
 #                      (a drop means dump() regressed: a layer both paths
 #                      share, invisible to the kernel advantage)
+#   warm served        sweep_items_per_sec_warm_served / sweep_items_per_sec
+#                      (a drop means serving cached results got dearer, e.g.
+#                      a return to per-hit tree copies or re-serialising
+#                      frozen results)
 #
-# A drop of more than the threshold in either ratio fails the gate.
+# A drop of more than the threshold in any ratio fails the gate.
 #
 # Usage: scripts/check_bench_regression.sh <fresh.json> [committed.json]
 set -euo pipefail
@@ -38,7 +42,8 @@ def ratio(path, numerator, denominator):
 failed = False
 for label, numerator, denominator in (
         ("kernel advantage", "sweep_items_per_sec", "sweep_items_per_sec_scalar"),
-        ("serialised share", "sweep_items_per_sec_serialised", "sweep_items_per_sec")):
+        ("serialised share", "sweep_items_per_sec_serialised", "sweep_items_per_sec"),
+        ("warm served", "sweep_items_per_sec_warm_served", "sweep_items_per_sec")):
     c_top, c_bottom, c_ratio = ratio(committed_path, numerator, denominator)
     f_top, f_bottom, f_ratio = ratio(fresh_path, numerator, denominator)
     print(f"{label}: {numerator} / {denominator}")

@@ -1,6 +1,7 @@
 #include "json/json.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cctype>
 #include <cerrno>
 #include <charconv>
@@ -12,6 +13,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/mutex.hpp"
 
 namespace qre::json {
 
@@ -23,34 +25,94 @@ Value::Value(std::uint64_t i) {
   }
 }
 
+/// A frozen value's shared state. `bytes` never changes. `tree` is written
+/// once, by the first reader, under `mutex`, and published by `parsed`
+/// (release/acquire), so later readers take no lock. (Not std::call_once:
+/// libstdc++'s can deadlock after a call that threw, and a parse can.)
+struct Value::Frozen {
+  std::string bytes;
+  mutable Mutex mutex;
+  mutable std::atomic<bool> parsed{false};
+  mutable Value tree;
+};
+
+Value Value::frozen(std::string compact_dump) {
+  Value v;
+  auto frozen = std::make_shared<Frozen>();
+  frozen->bytes = std::move(compact_dump);
+  v.data_ = FrozenPtr(std::move(frozen));
+  return v;
+}
+
+const Value& Value::frozen_tree() const {
+  const Frozen& f = *std::get<FrozenPtr>(data_);
+  if (!f.parsed.load(std::memory_order_acquire)) {
+    MutexLock lock(f.mutex);
+    if (!f.parsed.load(std::memory_order_relaxed)) {
+      f.tree = parse(f.bytes);
+      f.parsed.store(true, std::memory_order_release);
+    }
+  }
+  return f.tree;
+}
+
+void Value::thaw() {
+  if (!is_frozen()) return;
+  auto tree = frozen_tree().data_;  // copied before the shared state is released
+  data_ = std::move(tree);
+}
+
 namespace {
 [[noreturn]] void type_error(const char* want) {
   throw_error(std::string("JSON value is not of type ") + want);
 }
+
+/// [-2^63, 2^63) holds exactly the integral doubles an int64_t can take;
+/// casting anything outside it is undefined behaviour. NaN fails both bounds.
+bool is_int64_double(double d) { return d >= -0x1p63 && d < 0x1p63 && std::floor(d) == d; }
 }  // namespace
 
+bool Value::operator==(const Value& other) const {
+  const Value& a = view();
+  const Value& b = other.view();
+  // dump() writes an integral double without a fraction and parse() reads
+  // that back as an integer, so numbers compare by value, not by kind.
+  const double* ad = std::get_if<double>(&a.data_);
+  const double* bd = std::get_if<double>(&b.data_);
+  const std::int64_t* ai = std::get_if<std::int64_t>(&a.data_);
+  const std::int64_t* bi = std::get_if<std::int64_t>(&b.data_);
+  if (ad != nullptr && bi != nullptr) {
+    return is_int64_double(*ad) && static_cast<std::int64_t>(*ad) == *bi;
+  }
+  if (ai != nullptr && bd != nullptr) {
+    return is_int64_double(*bd) && static_cast<std::int64_t>(*bd) == *ai;
+  }
+  return a.data_ == b.data_;
+}
+
 bool Value::as_bool() const {
-  if (const bool* b = std::get_if<bool>(&data_)) return *b;
+  if (const bool* b = std::get_if<bool>(&view().data_)) return *b;
   type_error("bool");
 }
 
 double Value::as_double() const {
-  if (const double* d = std::get_if<double>(&data_)) return *d;
-  if (const std::int64_t* i = std::get_if<std::int64_t>(&data_)) return static_cast<double>(*i);
+  const Value& v = view();
+  if (const double* d = std::get_if<double>(&v.data_)) return *d;
+  if (const std::int64_t* i = std::get_if<std::int64_t>(&v.data_)) return static_cast<double>(*i);
   type_error("number");
 }
 
 bool Value::is_integer() const {
-  if (std::holds_alternative<std::int64_t>(data_)) return true;
-  const double* d = std::get_if<double>(&data_);
-  // [-2^63, 2^63) holds exactly the integral doubles an int64_t can take;
-  // casting anything outside it is undefined behaviour. NaN fails both bounds.
-  return d != nullptr && *d >= -0x1p63 && *d < 0x1p63 && std::floor(*d) == *d;
+  const Value& v = view();
+  if (std::holds_alternative<std::int64_t>(v.data_)) return true;
+  const double* d = std::get_if<double>(&v.data_);
+  return d != nullptr && is_int64_double(*d);
 }
 
 std::int64_t Value::as_int() const {
-  if (const std::int64_t* i = std::get_if<std::int64_t>(&data_)) return *i;
-  if (is_integer()) return static_cast<std::int64_t>(std::get<double>(data_));
+  const Value& v = view();
+  if (const std::int64_t* i = std::get_if<std::int64_t>(&v.data_)) return *i;
+  if (is_integer()) return static_cast<std::int64_t>(std::get<double>(v.data_));
   type_error("integer");
 }
 
@@ -61,32 +123,34 @@ std::uint64_t Value::as_uint() const {
 }
 
 const std::string& Value::as_string() const {
-  if (const std::string* s = std::get_if<std::string>(&data_)) return *s;
+  if (const std::string* s = std::get_if<std::string>(&view().data_)) return *s;
   type_error("string");
 }
 
 const Array& Value::as_array() const {
-  if (const Array* a = std::get_if<Array>(&data_)) return *a;
+  if (const Array* a = std::get_if<Array>(&view().data_)) return *a;
   type_error("array");
 }
 
 Array& Value::as_array() {
+  thaw();
   if (Array* a = std::get_if<Array>(&data_)) return *a;
   type_error("array");
 }
 
 const Object& Value::as_object() const {
-  if (const Object* o = std::get_if<Object>(&data_)) return *o;
+  if (const Object* o = std::get_if<Object>(&view().data_)) return *o;
   type_error("object");
 }
 
 Object& Value::as_object() {
+  thaw();
   if (Object* o = std::get_if<Object>(&data_)) return *o;
   type_error("object");
 }
 
 const Value* Value::find(std::string_view key) const {
-  const Object* o = std::get_if<Object>(&data_);
+  const Object* o = std::get_if<Object>(&view().data_);
   if (o == nullptr) return nullptr;
   for (const auto& [k, v] : *o) {
     if (k == key) return &v;
@@ -175,7 +239,13 @@ void append_number(std::string& out, double d) {
 }
 
 void Value::write(std::string& out, int indent, int depth) const {
-  if (is_null()) {
+  if (const FrozenPtr* f = std::get_if<FrozenPtr>(&data_)) {
+    if (indent <= 0) {
+      out += (*f)->bytes;
+    } else {
+      frozen_tree().write(out, indent, depth);
+    }
+  } else if (std::holds_alternative<std::nullptr_t>(data_)) {
     out += "null";
   } else if (const bool* b = std::get_if<bool>(&data_)) {
     out += *b ? "true" : "false";

@@ -6,6 +6,12 @@
 // emitted as JSON grouped exactly like the tool's output (Section IV-D of
 // the paper). This module implements the small JSON subset needed for that,
 // with insertion-ordered objects so emitted reports are stable.
+//
+// A value can also be *frozen*: an immutable, reference-counted compact
+// dump (Value::frozen). Copying one only bumps a count and dump() appends
+// the stored bytes, so a result rendered once is spliced into every
+// response that carries it. Reads go through a tree parsed from the bytes
+// on first use; writes turn the node into an ordinary tree first.
 #pragma once
 
 #include <cstdint>
@@ -26,7 +32,7 @@ using Object = std::vector<std::pair<std::string, Value>>;
 
 /// A JSON document node. Numbers are stored as double plus an exact-integer
 /// flag so counts such as physical qubit numbers round-trip without a
-/// trailing ".0".
+/// trailing ".0"; equality compares numbers by value, so 1 == 1.0.
 class Value {
  public:
   Value() : data_(nullptr) {}
@@ -42,14 +48,25 @@ class Value {
   Value(Array a) : data_(std::move(a)) {}
   Value(Object o) : data_(std::move(o)) {}
 
-  bool is_null() const { return std::holds_alternative<std::nullptr_t>(data_); }
-  bool is_bool() const { return std::holds_alternative<bool>(data_); }
+  /// A frozen value over `compact_dump`, which must be what dump() writes
+  /// for some value (the bytes are not checked). Copies share the bytes;
+  /// dump() appends them as they are; every const accessor, pretty() and
+  /// == read a tree parsed from them once, on first use (thread-safe);
+  /// as_array(), as_object() and set() first make this node an ordinary
+  /// tree (copy-on-write), so the shared bytes never change.
+  static Value frozen(std::string compact_dump);
+  bool is_frozen() const { return std::holds_alternative<FrozenPtr>(data_); }
+
+  bool is_null() const { return std::holds_alternative<std::nullptr_t>(view().data_); }
+  bool is_bool() const { return std::holds_alternative<bool>(view().data_); }
   bool is_number() const {
-    return std::holds_alternative<double>(data_) || std::holds_alternative<std::int64_t>(data_);
+    const Value& v = view();
+    return std::holds_alternative<double>(v.data_) ||
+           std::holds_alternative<std::int64_t>(v.data_);
   }
-  bool is_string() const { return std::holds_alternative<std::string>(data_); }
-  bool is_array() const { return std::holds_alternative<Array>(data_); }
-  bool is_object() const { return std::holds_alternative<Object>(data_); }
+  bool is_string() const { return std::holds_alternative<std::string>(view().data_); }
+  bool is_array() const { return std::holds_alternative<Array>(view().data_); }
+  bool is_object() const { return std::holds_alternative<Object>(view().data_); }
   /// A number as_int() reads exactly: an integer within int64_t range.
   bool is_integer() const;
 
@@ -76,12 +93,21 @@ class Value {
   /// Serializes with 2-space indentation.
   std::string pretty() const;
 
-  bool operator==(const Value& other) const { return data_ == other.data_; }
+  bool operator==(const Value& other) const;
 
  private:
+  struct Frozen;
+  using FrozenPtr = std::shared_ptr<const Frozen>;
+
+  /// The node the accessors read: this one, or a frozen value's tree.
+  const Value& view() const { return is_frozen() ? frozen_tree() : *this; }
+  const Value& frozen_tree() const;
+  /// Makes a frozen node an ordinary tree (a copy of its parsed tree).
+  void thaw();
   void write(std::string& out, int indent, int depth) const;
 
-  std::variant<std::nullptr_t, bool, double, std::int64_t, std::string, Array, Object> data_;
+  std::variant<std::nullptr_t, bool, double, std::int64_t, std::string, Array, Object, FrozenPtr>
+      data_;
 };
 
 /// Appends `d` the way dump() writes a double: the shortest "%.{prec}g"

@@ -212,6 +212,7 @@ bool Router::dispatch(const Request& request, const ByteSink& sink, RequestConte
   auto send = [&](Response r) {
     ctx.status = r.status;
     r.extra_headers.push_back({"X-Request-Id", ctx.id});
+    QRE_TRACE_SPAN("server.write");
     return write_response(sink, r, keep_alive) && keep_alive;
   };
   auto method_not_allowed = [&](const char* allow) {
@@ -353,6 +354,12 @@ bool Router::dispatch(const Request& request, const ByteSink& sink, RequestConte
     if (service_.request_deadline_s() > 0) {
       cancel = cancel.with_deadline(service_.request_deadline_s());
     }
+    // The response envelope and its bytes; a cached result is spliced in
+    // as the frozen bytes it was stored as.
+    auto render = [](int status, const api::EstimateResponse& response) {
+      QRE_TRACE_SPAN("server.render");
+      return json_response(status, response.to_json());
+    };
     auto deadline_status = [&](const api::EstimateResponse& response, int fallback) {
       for (const Diagnostic& d : response.diagnostics.entries()) {
         if (d.code == "deadline-exceeded") {
@@ -378,18 +385,23 @@ bool Router::dispatch(const Request& request, const ByteSink& sink, RequestConte
                                       {{"X-Request-Id", ctx.id}}) &&
                         sink_ok;
             }
-            json::Object line;
-            line.emplace_back("item", json::Value(static_cast<std::uint64_t>(index)));
-            line.emplace_back("result", result);
-            sink_ok = chunked.write(json::Value(std::move(line)).dump() + "\n") && sink_ok;
+            std::string bytes;
+            {
+              QRE_TRACE_SPAN("server.render");
+              json::Object line;
+              line.emplace_back("item", json::Value(static_cast<std::uint64_t>(index)));
+              line.emplace_back("result", result);
+              bytes = json::Value(std::move(line)).dump() + "\n";
+            }
+            QRE_TRACE_SPAN("server.write");
+            sink_ok = chunked.write(bytes) && sink_ok;
           });
       options.cancel = cancel;
       api::EstimateResponse response = api::run(parsed, options, service_.registry());
       if (!chunked.begun()) {
         // Nothing streamed: empty expansion or a failure before the batch
         // ran. Fall back to a plain envelope.
-        return send(json_response(deadline_status(response, response.success ? 200 : 422),
-                                  response.to_json()));
+        return send(render(deadline_status(response, response.success ? 200 : 422), response));
       }
       if (!response.success) {
         // The run failed after lines went out (e.g. a frontier whose every
@@ -422,7 +434,7 @@ bool Router::dispatch(const Request& request, const ByteSink& sink, RequestConte
     api::EstimateResponse response = api::run(parsed, options, service_.registry());
     int http_status = parsed.ok() ? (response.success ? 200 : 422) : 400;
     if (parsed.ok() && !response.success) http_status = deadline_status(response, http_status);
-    return send(json_response(http_status, response.to_json()));
+    return send(render(http_status, response));
   }
 
   // ---------------------------------------------------------- job queue --

@@ -30,7 +30,18 @@ json::Value sorted_copy(const json::Value& v) {
   return v;
 }
 
+/// What the cache publishes: a successful document frozen (one dump()),
+/// an error document as it is.
+json::Value freeze(json::Value result) {
+  if (result.is_frozen() || is_error_result(result)) return result;
+  return json::Value::frozen(result.dump());
+}
+
 }  // namespace
+
+bool is_error_result(const json::Value& result) {
+  return !result.is_frozen() && result.is_object() && result.find("error") != nullptr;
+}
 
 std::string canonical_key(const json::Value& job) { return sorted_copy(job).dump(); }
 
@@ -75,9 +86,9 @@ json::Value EstimateCache::get_or_compute(const std::string& key, const Compute&
       std::optional<json::Value> stored;
       if (backing_ != nullptr) stored = backing_->fetch(key);
       if (stored.has_value()) {
-        promise.set_value(std::move(*stored));
+        promise.set_value(freeze(std::move(*stored)));
       } else {
-        json::Value computed = compute();
+        json::Value computed = freeze(compute());
         if (backing_ != nullptr) backing_->record(key, computed);
         promise.set_value(std::move(computed));
       }

@@ -12,6 +12,11 @@
 // an infeasible input is deterministic, so its error is as memoizable as a
 // successful estimate.
 //
+// Successful results are stored *frozen* (json::Value::frozen): the owner
+// thread serialises the document once before publishing it, and every hit,
+// store write and response splices those bytes instead of copying and
+// re-dumping a tree. Error documents ({"error": ...}) stay trees.
+//
 // Capacity is bounded: entries beyond `capacity` are evicted least-recently
 // -used first, so a long-running sweep service cannot grow without limit.
 // Evicting an in-flight entry is safe — waiters hold their own copy of the
@@ -36,6 +41,11 @@ namespace qre::service {
 /// keys recursively sorted, so field order in the source JSON does not
 /// affect identity.
 std::string canonical_key(const json::Value& job);
+
+/// True for an {"error": ...} result document. A frozen value is never an
+/// error (EstimateCache freezes successful results only), so it is answered
+/// without parsing the value.
+bool is_error_result(const json::Value& result);
 
 /// The common counter document every cache exports (GET /metrics):
 /// {"hits": ..., "misses": ..., "evictions": ..., "size": ..., "capacity": ...}.
@@ -76,7 +86,8 @@ class EstimateCache {
   /// Returns the result for `key`, invoking `compute` only if no other
   /// caller has. Concurrent callers with the same key block on the single
   /// computation. If `compute` throws, the exception is cached and
-  /// rethrown to every caller of this key.
+  /// rethrown to every caller of this key. A successful result comes back
+  /// frozen, whether computed, fetched from the backing or cached.
   json::Value get_or_compute(const std::string& key, const Compute& compute);
 
   /// Attaches (or detaches, with nullptr) the second-level store. Follows

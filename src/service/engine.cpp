@@ -139,9 +139,7 @@ json::Array run_batch_indexed(std::size_t num_items, const IndexedRunner& runner
   // Stores result `i` and streams the contiguous prefix of completed items,
   // so the sink observes results strictly in item order.
   auto complete = [&](std::size_t i, json::Value result) {
-    if (result.is_object() && result.find("error") != nullptr) {
-      num_errors.fetch_add(1);
-    }
+    if (is_error_result(result)) num_errors.fetch_add(1);
     MutexLock lock(emit_mutex);
     results[i] = std::move(result);
     done[i] = 1;

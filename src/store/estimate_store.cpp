@@ -17,14 +17,6 @@ namespace qre::store {
 
 namespace {
 
-/// Error documents ({"error": {...}} results of failed batch items) are
-/// deterministic but registry-shaped and cheap to recompute; keeping them
-/// out of the store means a persisted corpus only ever contains real
-/// estimates.
-bool is_error_document(const json::Value& result) {
-  return result.is_object() && result.find("error") != nullptr;
-}
-
 /// Opens a file in `dir` that has no name: O_TMPFILE where the filesystem
 /// supports it, else a uniquely named file unlinked at once. Each store
 /// gets its own, and the kernel frees it when the descriptor closes, even
@@ -140,22 +132,28 @@ std::optional<json::Value> EstimateStore::fetch(const std::string& key) {
     return std::nullopt;
   }
   try {
-    json::Value parsed = json::parse(value);
-    ++hits_;
-    return parsed;
+    // Parsed only to validate: the value handed out is frozen over the
+    // record's own bytes, so a hit is spliced into responses as stored.
+    (void)json::parse(value);
   } catch (const std::exception&) {
     // A record that fails to parse (should be impossible past the CRC
     // check) degrades to a miss: the result is recomputed and rewritten.
     ++misses_;
     return std::nullopt;
   }
+  ++hits_;
+  return json::Value::frozen(std::move(value));
 }
 
 void EstimateStore::record(const std::string& key, const json::Value& result) {
-  if (is_error_document(result)) return;
+  // Error documents ({"error": {...}} results of failed batch items) are
+  // deterministic but registry-shaped and cheap to recompute; keeping them
+  // out of the store means a persisted corpus only ever contains real
+  // estimates.
+  if (service::is_error_result(result)) return;
   std::string value;
   try {
-    value = result.dump();
+    value = result.dump();  // a frozen result's bytes, as they are
   } catch (const std::exception&) {
     return;  // un-serializable results are simply not persisted
   }

@@ -11,7 +11,10 @@
 // spill file in the cache directory: an unnamed O_TMPFILE (or a uniquely
 // named file unlinked at once), so no two stores share one and nothing is
 // left behind when the process ends. The heap holds each key once plus its
-// value's offset and size; fetch() reads the value back with pread.
+// value's offset and size; fetch() reads the value back with pread,
+// validates it by parsing and returns it frozen over those bytes
+// (json::Value::frozen), and record() writes a frozen result's bytes as
+// they are.
 //
 // Lifecycle:
 //   EstimateStore store(dir);

@@ -206,59 +206,63 @@ TEST(BatchKernel, ParallelKernelMatchesSerialKernelAndScalar) {
   expect_bit_identical(parallel, scalar);
 }
 
-TEST(BatchKernel, RandomizedGridsAreBitIdenticalToScalar) {
-  // Deterministic fuzz over grid shapes: every iteration builds a sweep
-  // with a random subset of axis sections and random values, then asserts
-  // kernel output is byte-identical to the scalar path.
-  std::mt19937 rng(20230807);
+/// A random sweep job: a random subset of axis sections with random values.
+json::Value random_sweep_job(std::mt19937& rng) {
   const char* presets[] = {"qubit_gate_ns_e3", "qubit_gate_ns_e4", "qubit_gate_us_e3",
                            "qubit_gate_us_e4", "qubit_maj_ns_e4",  "qubit_maj_ns_e6"};
   auto uniform = [&](int lo, int hi) {
     return std::uniform_int_distribution<int>(lo, hi)(rng);
   };
+  json::Object sweep;
+
+  json::Array qubits;
+  const int num_presets = uniform(1, 3);
+  for (int i = 0; i < num_presets; ++i) {
+    json::Object q;
+    q.emplace_back("name", json::Value(presets[uniform(0, 5)]));
+    qubits.push_back(json::Value(std::move(q)));
+  }
+  sweep.emplace_back("qubitParams", json::Value(std::move(qubits)));
+
+  json::Object budget_range;
+  budget_range.emplace_back("start", json::Value(std::pow(10.0, -uniform(3, 5))));
+  budget_range.emplace_back("stop", json::Value(0.05));
+  budget_range.emplace_back("steps", json::Value(uniform(2, 4)));
+  budget_range.emplace_back("scale", json::Value("log"));
+  sweep.emplace_back("errorBudget", json::Value(std::move(budget_range)));
+
+  if (uniform(0, 1) == 1) {
+    json::Array factories;
+    const int num = uniform(1, 2);
+    for (int i = 0; i < num; ++i) factories.push_back(json::Value(uniform(1, 8)));
+    sweep.emplace_back("constraints.maxTFactories", json::Value(std::move(factories)));
+  }
+  if (uniform(0, 1) == 1) {
+    json::Array tcounts;
+    const int num = uniform(1, 2);
+    for (int i = 0; i < num; ++i) {
+      tcounts.push_back(json::Value(static_cast<std::int64_t>(uniform(1000, 200000))));
+    }
+    sweep.emplace_back("logicalCounts.tCount", json::Value(std::move(tcounts)));
+  }
+
+  json::Object counts;
+  counts.emplace_back("numQubits", json::Value(uniform(10, 300)));
+  counts.emplace_back("tCount", json::Value(uniform(1000, 500000)));
+  json::Object job;
+  job.emplace_back("logicalCounts", json::Value(std::move(counts)));
+  job.emplace_back("sweep", json::Value(std::move(sweep)));
+  return json::Value(std::move(job));
+}
+
+TEST(BatchKernel, RandomizedGridsAreBitIdenticalToScalar) {
+  // Deterministic fuzz over grid shapes: every iteration builds a random
+  // sweep, then asserts kernel output is byte-identical to the scalar path.
+  std::mt19937 rng(20230807);
   for (int iter = 0; iter < 6; ++iter) {
-    json::Object sweep;
+    json::Value doc = random_sweep_job(rng);
 
-    json::Array qubits;
-    const int num_presets = uniform(1, 3);
-    for (int i = 0; i < num_presets; ++i) {
-      json::Object q;
-      q.emplace_back("name", json::Value(presets[uniform(0, 5)]));
-      qubits.push_back(json::Value(std::move(q)));
-    }
-    sweep.emplace_back("qubitParams", json::Value(std::move(qubits)));
-
-    json::Object budget_range;
-    budget_range.emplace_back("start", json::Value(std::pow(10.0, -uniform(3, 5))));
-    budget_range.emplace_back("stop", json::Value(0.05));
-    budget_range.emplace_back("steps", json::Value(uniform(2, 4)));
-    budget_range.emplace_back("scale", json::Value("log"));
-    sweep.emplace_back("errorBudget", json::Value(std::move(budget_range)));
-
-    if (uniform(0, 1) == 1) {
-      json::Array factories;
-      const int num = uniform(1, 2);
-      for (int i = 0; i < num; ++i) factories.push_back(json::Value(uniform(1, 8)));
-      sweep.emplace_back("constraints.maxTFactories", json::Value(std::move(factories)));
-    }
-    if (uniform(0, 1) == 1) {
-      json::Array tcounts;
-      const int num = uniform(1, 2);
-      for (int i = 0; i < num; ++i) {
-        tcounts.push_back(json::Value(static_cast<std::int64_t>(uniform(1000, 200000))));
-      }
-      sweep.emplace_back("logicalCounts.tCount", json::Value(std::move(tcounts)));
-    }
-
-    json::Object counts;
-    counts.emplace_back("numQubits", json::Value(uniform(10, 300)));
-    counts.emplace_back("tCount", json::Value(uniform(1000, 500000)));
-    json::Object job;
-    job.emplace_back("logicalCounts", json::Value(std::move(counts)));
-    job.emplace_back("sweep", json::Value(std::move(sweep)));
-    json::Value doc{std::move(job)};
-
-    json::Value kernel = run_sweep(doc, uniform(1, 4));
+    json::Value kernel = run_sweep(doc, std::uniform_int_distribution<int>(1, 4)(rng));
     json::Value scalar = run_scalar(doc);
     ASSERT_TRUE(kernel_stats(kernel).at("engaged").as_bool())
         << "iter " << iter << ": " << kernel_stats(kernel).dump();
@@ -448,6 +452,35 @@ TEST(BatchKernel, SplicedKeysMatchCanonicalKeysOfExpandedItems) {
   for (std::size_t i = 0; i < items.size(); ++i) {
     EXPECT_EQ(plan.item_key(i), service::canonical_key(items[i])) << "item " << i;
   }
+}
+
+TEST(BatchKernel, SplicedKeysMatchCanonicalKeysOnRandomGrids) {
+  // Property over seeded random grids: every spliced key is canonical_key()
+  // of its expanded item, also when the job carries base sections whose
+  // keys are out of canonical order.
+  std::mt19937 rng(5150);
+  int planned = 0;
+  for (int iter = 0; iter < 60; ++iter) {
+    json::Value job = random_sweep_job(rng);
+    if (rng() % 2 == 0) {
+      json::Object constraints;
+      constraints.emplace_back("maxTFactories", json::Value(static_cast<int>(1 + rng() % 9)));
+      constraints.emplace_back("logicalDepthFactor", json::Value(1.0 + (rng() % 7) / 4.0));
+      job.set("constraints", json::Value(std::move(constraints)));
+    }
+    if (rng() % 2 == 0) job.set("errorBudget", json::Value(1e-3 * (1 + rng() % 5)));
+    SCOPED_TRACE("iter " + std::to_string(iter) + " job " + job.dump());
+    const std::vector<json::Value> items = service::expand_sweep(job);
+    const service::BatchKernelPlan plan =
+        service::plan_batch_kernel(job, items, api::Registry::global());
+    ASSERT_TRUE(plan.eligible()) << plan.reason();
+    ASSERT_EQ(plan.num_items(), items.size());
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      ASSERT_EQ(plan.item_key(i), service::canonical_key(items[i])) << "item " << i;
+    }
+    ++planned;
+  }
+  EXPECT_EQ(planned, 60);
 }
 
 // ------------------------------------------------ allocation contract ---

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
@@ -9,6 +10,8 @@
 #include <limits>
 #include <random>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -307,6 +310,184 @@ TEST(Json, NumbersBeyondDoubleRangeAreRejected) {
 }
 
 TEST(Json, ParseFileMissing) { EXPECT_THROW(parse_file("/nonexistent/x.json"), Error); }
+
+// ------------------------------------------------------- frozen values ---
+
+/// A seeded random document: every JSON kind, nested up to depth 4, with
+/// finite doubles from random bit patterns, integral doubles, int64s of
+/// every magnitude, strings that need escaping, and repeated object keys.
+Value random_document(std::mt19937_64& rng, int depth = 0) {
+  auto pick = [&rng](int lo, int hi) { return std::uniform_int_distribution<int>(lo, hi)(rng); };
+  switch (pick(0, depth >= 4 ? 4 : 6)) {
+    case 0:
+      return Value(nullptr);
+    case 1:
+      return Value(pick(0, 1) == 1);
+    case 2:
+      return Value(static_cast<std::int64_t>(rng() >> pick(1, 63)) * (pick(0, 1) == 1 ? -1 : 1));
+    case 3: {
+      if (pick(0, 3) == 0) return Value(static_cast<double>(pick(-1000, 1000)));
+      for (;;) {
+        const std::uint64_t bits = rng();
+        double d = 0.0;
+        std::memcpy(&d, &bits, sizeof d);
+        if (std::isfinite(d)) return Value(d);
+      }
+    }
+    case 4: {
+      static const char* const kPieces[] = {"a", "Z", "0", " ", "\"", "\\", "\n", "\t",
+                                            "\x01", "\x1f", "/", "\xc3\xa9", "key"};
+      std::string s;
+      for (int i = pick(0, 8); i > 0; --i) s += kPieces[pick(0, 12)];
+      return Value(std::move(s));
+    }
+    case 5: {
+      Array a;
+      for (int i = pick(0, 4); i > 0; --i) a.push_back(random_document(rng, depth + 1));
+      return Value(std::move(a));
+    }
+    default: {
+      Object o;
+      for (int i = pick(0, 4); i > 0; --i) {
+        o.emplace_back("k" + std::to_string(pick(0, 5)), random_document(rng, depth + 1));
+      }
+      return Value(std::move(o));
+    }
+  }
+}
+
+/// Every const accessor's answer for `v` as text: the type predicates, each
+/// typed read (or the error it throws) and lookups, recursively.
+std::string accessor_answers(const Value& v) {
+  std::string out;
+  for (bool b : {v.is_null(), v.is_bool(), v.is_number(), v.is_integer(), v.is_string(),
+                 v.is_array(), v.is_object()}) {
+    out += b ? '1' : '0';
+  }
+  auto read = [&out](auto f) {
+    try {
+      out += f();
+    } catch (const Error& e) {
+      out += std::string("!") + e.what();
+    }
+    out += '|';
+  };
+  read([&] { return std::string(v.as_bool() ? "true" : "false"); });
+  read([&] {
+    char buf[40];
+    std::snprintf(buf, sizeof buf, "%a", v.as_double());
+    return std::string(buf);
+  });
+  read([&] { return std::to_string(v.as_int()); });
+  read([&] { return std::to_string(v.as_uint()); });
+  read([&] { return v.as_string(); });
+  read([&] { return std::to_string(v.as_array().size()); });
+  read([&] { return std::to_string(v.as_object().size()); });
+  read([&] { return std::string(v.find("k0") != nullptr ? "k0" : "-"); });
+  read([&] { return v.at("k1").dump(); });
+  if (v.is_array()) {
+    for (const Value& e : v.as_array()) out += "[" + accessor_answers(e) + "]";
+  }
+  if (v.is_object()) {
+    for (const auto& [k, e] : v.as_object()) out += k + "{" + accessor_answers(e) + "}";
+  }
+  return out;
+}
+
+TEST(Json, FrozenValuesAnswerLikeTheirTrees) {
+  std::mt19937_64 rng(1517);
+  for (int i = 0; i < 2000; ++i) {
+    const Value v = random_document(rng);
+    SCOPED_TRACE(v.dump());
+    const Value f = Value::frozen(v.dump());
+    ASSERT_TRUE(f.is_frozen());
+    EXPECT_EQ(f.dump(), v.dump());
+    EXPECT_EQ(f.pretty(), v.pretty());
+    EXPECT_TRUE(f == v);
+    EXPECT_TRUE(v == f);
+    EXPECT_EQ(accessor_answers(f), accessor_answers(v));
+    // Spliced into a tree, at any depth, in either layout.
+    const Value tree_form(Array{v, Value(Object{{"x", v}})});
+    const Value spliced(Array{f, Value(Object{{"x", f}})});
+    EXPECT_EQ(spliced.dump(), tree_form.dump());
+    EXPECT_EQ(spliced.pretty(), tree_form.pretty());
+    EXPECT_TRUE(spliced == tree_form);
+  }
+}
+
+TEST(Json, NumbersCompareByValueNotByKind) {
+  // dump() writes 3.0 as "3", which parses back as an integer.
+  EXPECT_TRUE(Value(3.0) == Value(3));
+  EXPECT_TRUE(Value::frozen(Value(3.0).dump()) == Value(3.0));
+  EXPECT_FALSE(Value(3.5) == Value(3));
+  EXPECT_FALSE(Value(0x1p63) == Value(std::numeric_limits<std::int64_t>::max()));
+  EXPECT_FALSE(Value(9007199254740992.0) == Value(std::int64_t{9007199254740993}));
+  EXPECT_FALSE(Value(1) == Value(true));
+}
+
+TEST(Json, FrozenBytesAreParsedOnlyOnFirstRead) {
+  // Copying and dumping never parse: bytes that are not JSON survive both,
+  // and only the first read reports them (and every later one, too).
+  const Value broken = Value::frozen("[1,");
+  const Value copy = broken;
+  EXPECT_EQ(copy.dump(), "[1,");
+  EXPECT_EQ(Value(Array{copy}).dump(), "[[1,]");
+  EXPECT_THROW((void)copy.is_array(), Error);
+  EXPECT_THROW((void)broken.find("k"), Error);
+}
+
+TEST(Json, MutatingACopyOfAFrozenValueLeavesTheSharedBytes) {
+  const Value source = parse(R"({"a":[1,2.5,"x"],"b":{"c":null}})");
+  const std::string bytes = source.dump();
+  for (bool read_first : {false, true}) {
+    SCOPED_TRACE(read_first ? "shared tree parsed before the writes" : "writes first");
+    const Value shared = Value::frozen(bytes);
+    if (read_first) ASSERT_TRUE(shared == source);
+    Value copy = shared;
+    copy.set("d", Value(true));
+    copy.as_object()[0].second.as_array().push_back(Value(4));
+    EXPECT_FALSE(copy.is_frozen());
+    EXPECT_EQ(copy.dump(), R"({"a":[1,2.5,"x",4],"b":{"c":null},"d":true})");
+    Value thawed = shared;
+    EXPECT_THROW(thawed.as_array(), Error);  // a type error still thaws the copy
+    EXPECT_FALSE(thawed.is_frozen());
+    EXPECT_TRUE(thawed == source);
+
+    EXPECT_TRUE(shared.is_frozen());
+    EXPECT_EQ(shared.dump(), bytes);
+    EXPECT_EQ(shared.pretty(), source.pretty());
+    EXPECT_TRUE(shared == source);
+  }
+}
+
+TEST(Json, ConcurrentFirstReadsOfOneFrozenValueSeeOneTree) {
+  std::mt19937_64 rng(808);
+  constexpr int kThreads = 8;
+  for (int round = 0; round < 50; ++round) {
+    Value source;
+    while (!source.is_object() || source.as_object().empty()) source = random_document(rng);
+    const Value shared = Value::frozen(source.dump());
+    std::atomic<int> ready{0};
+    std::vector<const Object*> seen(kThreads, nullptr);
+    std::vector<std::string> pretty(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        const Value mine = shared;  // copies share the bytes and the tree
+        ready.fetch_add(1);
+        while (ready.load() < kThreads) std::this_thread::yield();
+        seen[t] = &(t % 2 == 0 ? mine : shared).as_object();
+        pretty[t] = mine.pretty();
+      });
+    }
+    for (std::thread& t : threads) t.join();
+    for (int t = 0; t < kThreads; ++t) {
+      EXPECT_EQ(seen[t], seen[0]) << "round " << round << " thread " << t;
+      EXPECT_EQ(pretty[t], source.pretty());
+    }
+    EXPECT_TRUE(shared == source);
+  }
+}
 
 }  // namespace
 }  // namespace qre::json

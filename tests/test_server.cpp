@@ -231,6 +231,63 @@ TEST(Server, RepeatedRequestsHitTheSharedCacheAndStayIdentical) {
   EXPECT_GE(fx.service().engine().cache().hits(), 1u);
 }
 
+/// The body's lines, without their newlines.
+std::vector<std::string> body_lines(const std::string& body) {
+  std::vector<std::string> lines;
+  std::size_t start = 0;
+  for (std::size_t eol; (eol = body.find('\n', start)) != std::string::npos; start = eol + 1) {
+    lines.push_back(body.substr(start, eol - start));
+  }
+  return lines;
+}
+
+TEST(Server, TimingsOnAWarmHitNeverReachTheCachedEntry) {
+  // Cached results are frozen and shared: appending "timings" to one
+  // response must copy, never write into the entry the next request reads.
+  ServerFixture fx;
+  Client::Result cold = fx.client().post("/v2/estimate", kSingleJob);
+  ASSERT_TRUE(cold.ok) << cold.error;
+  json::Value timed_job = json::parse(kSingleJob);
+  timed_job.set("collectTimings", json::Value(true));
+  Client::Result timed = fx.client().post("/v2/estimate", timed_job.dump());
+  ASSERT_TRUE(timed.ok) << timed.error;
+  const json::Value timed_result = json::parse(timed.body).at("result");
+  EXPECT_NE(timed_result.find("timings"), nullptr);
+  EXPECT_EQ(timed_result.at("timings").at("counters").at("estimate.cache.hit").as_uint(), 1u);
+
+  Client::Result plain = fx.client().post("/v2/estimate", kSingleJob);
+  ASSERT_TRUE(plain.ok) << plain.error;
+  EXPECT_EQ(plain.body, cold.body);
+  EXPECT_EQ(json::parse(plain.body).at("result").find("timings"), nullptr);
+  EXPECT_EQ(fx.service().engine().cache().misses(), 1u);
+}
+
+TEST(Server, WarmNdjsonSweepStreamsTheColdLines) {
+  const char* sweep_job = R"({
+    "logicalCounts": {"numQubits": 10, "tCount": 1000},
+    "sweep": {
+      "qubitParams": [{"name": "qubit_gate_ns_e3"}, {"name": "qubit_maj_ns_e4"}],
+      "errorBudget": {"start": 1e-3, "stop": 1e-2, "steps": 3, "scale": "log"}
+    }
+  })";
+  ServerFixture fx;
+  const std::vector<server::Header> ndjson = {{"Accept", "application/x-ndjson"}};
+  Client::Result cold = fx.client().post("/v2/estimate", sweep_job, ndjson);
+  ASSERT_TRUE(cold.ok) << cold.error;
+  Client::Result warm = fx.client().post("/v2/estimate", sweep_job, ndjson);
+  ASSERT_TRUE(warm.ok) << warm.error;
+  const std::vector<std::string> cold_lines = body_lines(cold.body);
+  const std::vector<std::string> warm_lines = body_lines(warm.body);
+  ASSERT_EQ(cold_lines.size(), 7u);  // 6 items + batchStats
+  ASSERT_EQ(warm_lines.size(), cold_lines.size());
+  for (std::size_t i = 0; i + 1 < cold_lines.size(); ++i) {
+    EXPECT_EQ(warm_lines[i], cold_lines[i]) << "item " << i;
+  }
+  const json::Value stats = json::parse(warm_lines.back()).at("batchStats");
+  EXPECT_EQ(stats.at("cacheHits").as_uint(), 6u);
+  EXPECT_EQ(stats.at("cacheMisses").as_uint(), 0u);
+}
+
 TEST(Server, AsyncJobLifecycle) {
   ServerFixture fx;
   Client::Result submit = fx.client().post("/v2/jobs", kSingleJob);

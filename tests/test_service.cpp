@@ -251,7 +251,42 @@ TEST(Cache, ReplaysFailuresWithoutRecomputing) {
   EXPECT_EQ(calls.load(), 1);
 }
 
+TEST(Cache, FreezesSuccessfulResultsAndKeepsErrorDocumentsAsTrees) {
+  EstimateCache cache;
+  const json::Value report = json::parse(R"({"physicalCounts":{"physicalQubits":12}})");
+  const json::Value error = json::parse(R"({"error":{"code":"invalid-item","message":"m"}})");
+  const json::Value computed = cache.get_or_compute("ok", [&] { return report; });
+  EXPECT_TRUE(computed.is_frozen());
+  EXPECT_EQ(computed.dump(), report.dump());
+  EXPECT_TRUE(cache.get_or_compute("ok", [&] { return report; }).is_frozen());  // the hit
+  const json::Value failed = cache.get_or_compute("bad", [&] { return error; });
+  EXPECT_FALSE(failed.is_frozen());
+  EXPECT_TRUE(service::is_error_result(failed));
+}
+
 // --------------------------------------------------------------- engine ---
+
+TEST(Engine, CountsErrorsWithoutParsingFrozenResults) {
+  // Item 0 is frozen over bytes that do not parse, so a lazy parse would
+  // throw; the error count must not need one.
+  const service::IndexedRunner runner = [](std::size_t index, std::size_t) {
+    if (index == 0) return json::Value::frozen("{not parsed");
+    return json::parse(R"({"error":{"code":"x","message":"y"}})");
+  };
+  const service::IndexedKeyFn key_fn = [](std::size_t index, std::size_t) -> const std::string& {
+    static const std::string keys[] = {"k0", "k1"};
+    return keys[index];
+  };
+  for (bool use_cache : {false, true}) {
+    EngineOptions options;
+    options.num_workers = 1;
+    options.use_cache = use_cache;
+    BatchStats stats;
+    const json::Array results = service::run_batch_indexed(2, runner, key_fn, options, &stats);
+    EXPECT_EQ(stats.num_errors, 1u) << "use_cache " << use_cache;
+    EXPECT_EQ(results[0].dump(), "{not parsed");
+  }
+}
 
 TEST(Engine, PreservesItemOrderAcrossWorkers) {
   std::vector<json::Value> items;

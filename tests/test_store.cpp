@@ -12,13 +12,16 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "api/api.hpp"
 #include "common/error.hpp"
+#include "core/estimator.hpp"
 #include "json/json.hpp"
+#include "report/report.hpp"
 #include "service/engine.hpp"
 #include "store/estimate_store.hpp"
 #include "store/format.hpp"
@@ -436,6 +439,74 @@ TEST(EstimateStoreTest, PersistedFileIsTheUnchangedFormatByteForByte) {
   // records, same encoder, same number writer, same bytes.
   EXPECT_EQ(bytes.size(), kParentImageSize);
   EXPECT_EQ(store::crc32(bytes), kParentImageCrc);
+}
+
+TEST(EstimateStoreTest, RandomReportsRoundTripThroughPersistAsTheirDumps) {
+  // Property: record -> persist -> load -> fetch gives back exactly
+  // v.dump(), whether v was recorded as a tree or frozen, and both forms
+  // write the same file.
+  std::mt19937_64 rng(4242);
+  const char* profiles[] = {"qubit_gate_ns_e3", "qubit_gate_ns_e4", "qubit_gate_us_e3",
+                            "qubit_gate_us_e4", "qubit_maj_ns_e4",  "qubit_maj_ns_e6"};
+  std::vector<std::pair<std::string, json::Value>> reports;
+  for (int i = 0; i < 24; ++i) {
+    LogicalCounts counts;
+    counts.num_qubits = 1 + rng() % 2000;
+    counts.t_count = 1 + rng() % 10'000'000;
+    counts.ccz_count = rng() % 100'000;
+    counts.measurement_count = rng() % 100'000;
+    counts.rotation_count = rng() % 100;
+    counts.rotation_depth = counts.rotation_count / 2;
+    const double budget = std::pow(10.0, -1.0 - static_cast<double>(rng() % 4000) / 1000.0);
+    const EstimationInput input =
+        EstimationInput::for_profile(counts, profiles[rng() % 6], budget);
+    reports.emplace_back("{\"report\":" + std::to_string(i) + "}",
+                         report_to_json(estimate(input)));
+  }
+
+  TempDir tree_dir;
+  TempDir frozen_dir;
+  {
+    EstimateStore as_tree(tree_dir.path);
+    EstimateStore as_frozen(frozen_dir.path);
+    for (const auto& [key, report] : reports) {
+      as_tree.record(key, report);
+      as_frozen.record(key, json::Value::frozen(report.dump()));
+    }
+    ASSERT_TRUE(as_tree.persist());
+    ASSERT_TRUE(as_frozen.persist());
+  }
+  std::ifstream tree_in(tree_dir.path + "/" + store::kStoreFileName, std::ios::binary);
+  std::ifstream frozen_in(frozen_dir.path + "/" + store::kStoreFileName, std::ios::binary);
+  EXPECT_EQ(std::string(std::istreambuf_iterator<char>(tree_in), {}),
+            std::string(std::istreambuf_iterator<char>(frozen_in), {}));
+
+  for (const TempDir* dir : {&tree_dir, &frozen_dir}) {
+    EstimateStore reloaded(dir->path);
+    ASSERT_EQ(reloaded.load().records_loaded, reports.size());
+    for (const auto& [key, report] : reports) {
+      const std::optional<json::Value> fetched = reloaded.fetch(key);
+      ASSERT_TRUE(fetched.has_value()) << key;
+      EXPECT_TRUE(fetched->is_frozen());
+      EXPECT_EQ(fetched->dump(), report.dump()) << key;
+      EXPECT_TRUE(*fetched == report) << key;
+    }
+  }
+}
+
+TEST(EstimateStoreTest, FrozenFetchOverUnparsableBytesDegradesToAMiss) {
+  // A record whose bytes pass the file checksums but are not JSON is never
+  // handed out frozen: fetch validates it and reports a miss.
+  TempDir dir;
+  store::write_store_file(dir.path + "/" + store::kStoreFileName,
+                          {{"{\"k\":1}", "{\"v\":"}, {"{\"k\":2}", "{\"v\":2}"}});
+  EstimateStore s(dir.path);
+  ASSERT_EQ(s.load().records_loaded, 2u);
+  EXPECT_FALSE(s.fetch("{\"k\":1}").has_value());
+  EXPECT_EQ(s.misses(), 1u);
+  const auto good = s.fetch("{\"k\":2}");
+  ASSERT_TRUE(good.has_value());
+  EXPECT_EQ(good->dump(), "{\"v\":2}");
 }
 
 // ------------------------------------------------- engine integration ---
